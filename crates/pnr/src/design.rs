@@ -103,24 +103,29 @@ impl PlacedDesign {
 
     /// Half-perimeter wirelength of one net in grid units.
     pub fn net_hpwl(&self, nl: &Netlist, lib: &Library, net: NetId) -> i64 {
-        let pins = self.net_pins(nl, lib, net);
-        if pins.len() < 2 {
-            return 0;
-        }
-        let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
-        for (x, y) in pins {
-            x0 = x0.min(x);
-            x1 = x1.max(x);
-            y0 = y0.min(y);
-            y1 = y1.max(y);
-        }
-        i64::from(x1 - x0) + i64::from(y1 - y0)
+        bbox_hpwl(&self.net_pins(nl, lib, net))
     }
 
     /// Total half-perimeter wirelength over all nets, in grid units.
     pub fn total_hpwl(&self, nl: &Netlist, lib: &Library) -> i64 {
         nl.net_ids().map(|n| self.net_hpwl(nl, lib, n)).sum()
     }
+}
+
+/// Half-perimeter of the bounding box of `pins` (0 for fewer than two
+/// pins).
+pub(crate) fn bbox_hpwl(pins: &[(i32, i32)]) -> i64 {
+    if pins.len() < 2 {
+        return 0;
+    }
+    let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
+    for &(x, y) in pins {
+        x0 = x0.min(x);
+        x1 = x1.max(x);
+        y0 = y0.min(y);
+        y1 = y1.max(y);
+    }
+    i64::from(x1 - x0) + i64::from(y1 - y0)
 }
 
 /// One routed net: a list of wire segments and vias forming a

@@ -173,6 +173,18 @@ impl RoutingGrid {
         self.history[self.index(p)]
     }
 
+    /// [`RoutingGrid::usage`] by linear index.
+    #[inline]
+    pub(crate) fn usage_at(&self, i: usize) -> u16 {
+        self.usage[i]
+    }
+
+    /// [`RoutingGrid::history`] by linear index.
+    #[inline]
+    pub(crate) fn history_at(&self, i: usize) -> f32 {
+        self.history[i]
+    }
+
     /// Marks `p` as used by one more net.
     pub fn occupy(&mut self, p: Point) {
         let i = self.index(p);

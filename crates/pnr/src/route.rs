@@ -7,13 +7,13 @@
 //! penalties until no grid node is shared.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
 use secflow_cells::Library;
 use secflow_netlist::{NetId, Netlist};
 
-use crate::design::{PlacedDesign, RoutedDesign, RoutedNet};
+use crate::design::{bbox_hpwl, PlacedDesign, RoutedDesign, RoutedNet};
 use crate::grid::{is_horizontal, Point, RoutingGrid, Segment, LAYER_H, LAYER_V};
 
 /// Router configuration.
@@ -183,6 +183,57 @@ impl Search {
     }
 }
 
+/// The net owning each pin access point (layers 0 and 1). A bitset
+/// over those nodes answers the common "no pin here" case; the owner
+/// list, sorted by node index, is searched only on a hit.
+struct PinOwners {
+    bits: Vec<u64>,
+    owners: Vec<(usize, NetId)>,
+}
+
+impl PinOwners {
+    fn new(nodes: usize) -> Self {
+        PinOwners {
+            bits: vec![0; nodes.div_ceil(64)],
+            owners: Vec::new(),
+        }
+    }
+
+    /// Records `net` as the owner of node `i`. Returns the earlier
+    /// owner if a different net already holds the node.
+    fn claim(&mut self, i: usize, net: NetId) -> Option<NetId> {
+        if !self.is_pin(i) {
+            self.bits[i / 64] |= 1 << (i % 64);
+            self.owners.push((i, net));
+            return None;
+        }
+        // A repeated pin point: rare, so a scan is fine.
+        self.owners
+            .iter()
+            .find(|&&(node, _)| node == i)
+            .map(|&(_, owner)| owner)
+            .filter(|&owner| owner != net)
+    }
+
+    #[inline]
+    fn is_pin(&self, i: usize) -> bool {
+        self.bits
+            .get(i / 64)
+            .is_some_and(|&w| w >> (i % 64) & 1 != 0)
+    }
+
+    /// True if node `i` is a pin of a net other than `net`. Needs
+    /// `owners` sorted by node.
+    #[inline]
+    fn is_foreign_pin(&self, i: usize, net: NetId) -> bool {
+        self.is_pin(i)
+            && self
+                .owners
+                .binary_search_by_key(&i, |&(node, _)| node)
+                .is_ok_and(|k| self.owners[k].1 != net)
+    }
+}
+
 /// Routes all multi-pin nets of `placed`, returning the routed design.
 ///
 /// # Errors
@@ -215,9 +266,12 @@ pub fn route(
     // net: a foreign wire through a pin would make the pin
     // permanently unreachable for its owner. Off-die or colliding pins
     // mean the placement is degenerate and routing cannot start.
-    let mut pin_owner: HashMap<Point, NetId> = HashMap::new();
+    let plane = placed.width as usize * placed.height as usize;
+    let mut pins_owned = PinOwners::new(2 * plane);
+    let mut work: Vec<(NetId, Vec<(i32, i32)>)> = Vec::new();
     for net in nl.net_ids() {
-        for (x, y) in placed.net_pins(nl, lib, net) {
+        let pins = placed.net_pins(nl, lib, net);
+        for &(x, y) in &pins {
             if x < 0 || x >= placed.width || y < 0 || y >= placed.height {
                 return Err(RouteError::PinOutOfBounds {
                     net: nl.net(net).name.clone(),
@@ -226,35 +280,25 @@ pub fn route(
                 });
             }
             for layer in [LAYER_H, LAYER_V] {
-                let p = Point::new(layer, x, y);
-                if let Some(&other) = pin_owner.get(&p) {
-                    if other != net {
-                        return Err(RouteError::PinCollision {
-                            net_a: nl.net(other).name.clone(),
-                            net_b: nl.net(net).name.clone(),
-                            x,
-                            y,
-                        });
-                    }
+                let i = usize::from(layer) * plane + (y * placed.width + x) as usize;
+                if let Some(other) = pins_owned.claim(i, net) {
+                    return Err(RouteError::PinCollision {
+                        net_a: nl.net(other).name.clone(),
+                        net_b: nl.net(net).name.clone(),
+                        x,
+                        y,
+                    });
                 }
-                pin_owner.insert(p, net);
             }
         }
+        if pins.len() >= 2 {
+            work.push((net, pins));
+        }
     }
+    pins_owned.owners.sort_unstable_by_key(|&(node, _)| node);
 
     // Nets to route, shortest HPWL first.
-    let mut work: Vec<(NetId, Vec<(i32, i32)>)> = nl
-        .net_ids()
-        .filter_map(|n| {
-            let pins = placed.net_pins(nl, lib, n);
-            if pins.len() >= 2 {
-                Some((n, pins))
-            } else {
-                None
-            }
-        })
-        .collect();
-    work.sort_by_key(|(n, pins)| (placed.net_hpwl(nl, lib, *n), n.0, pins.len()));
+    work.sort_by_cached_key(|(n, pins)| (bbox_hpwl(pins), n.0, pins.len()));
 
     // Current tree points per net (for rip-up).
     let mut trees: Vec<Vec<Point>> = vec![Vec::new(); work.len()];
@@ -289,7 +333,7 @@ pub fn route(
                 opts,
                 present_factor,
                 *net,
-                &pin_owner,
+                &pins_owned,
             )
             .ok_or_else(|| RouteError::Unreachable {
                 net: nl.net(*net).name.clone(),
@@ -364,22 +408,19 @@ fn route_net(
     opts: &RouteOptions,
     present_factor: f64,
     net: NetId,
-    pin_owner: &HashMap<Point, NetId>,
+    pins_owned: &PinOwners,
 ) -> Option<NetTree> {
     let mut tree: Vec<Point> = Vec::new();
-    let mut tree_set: std::collections::HashSet<Point> = std::collections::HashSet::new();
+    let mut tree_set: HashSet<Point> = HashSet::new();
     let mut tree_edges: Vec<(Point, Point)> = Vec::new();
-    let push_tree =
-        |p: Point, tree: &mut Vec<Point>, set: &mut std::collections::HashSet<Point>| {
-            if set.insert(p) {
-                tree.push(p);
-            }
-        };
 
     // Seed the tree with the first pin (both layers).
     let (x0, y0) = pins[0];
-    push_tree(Point::new(LAYER_H, x0, y0), &mut tree, &mut tree_set);
-    push_tree(Point::new(LAYER_V, x0, y0), &mut tree, &mut tree_set);
+    for p in [Point::new(LAYER_H, x0, y0), Point::new(LAYER_V, x0, y0)] {
+        if tree_set.insert(p) {
+            tree.push(p);
+        }
+    }
     tree_edges.push((Point::new(LAYER_H, x0, y0), Point::new(LAYER_V, x0, y0)));
 
     for &(px, py) in &pins[1..] {
@@ -398,8 +439,7 @@ fn route_net(
         let h = |p: Point| -> f64 { f64::from((p.x - px).abs() + (p.y - py).abs()) };
         let mut heap = BinaryHeap::new();
         for &p in &tree {
-            let i = grid.index(p);
-            search.set(i, 0.0, p);
+            search.set(grid.index(p), 0.0, p);
             heap.push(HeapEntry {
                 cost: h(p),
                 g: 0.0,
@@ -422,18 +462,18 @@ fn route_net(
                 if !grid.contains(np) {
                     return;
                 }
+                let ni = grid.index(np);
                 // Foreign pin points are hard obstacles.
-                if pin_owner.get(&np).is_some_and(|&o| o != net) {
+                if pins_owned.is_foreign_pin(ni, net) {
                     return;
                 }
-                let ni = grid.index(np);
-                let usage = f64::from(grid.usage(np));
+                let usage = f64::from(grid.usage_at(ni));
                 let congestion = if usage > 0.0 {
                     present_factor * usage
                 } else {
                     0.0
                 };
-                let nc = cost + step_cost + congestion + f64::from(grid.history(np));
+                let nc = cost + step_cost + congestion + f64::from(grid.history_at(ni));
                 if nc < search.dist(ni) {
                     search.set(ni, nc, point);
                     heap.push(HeapEntry {
@@ -476,24 +516,33 @@ fn route_net(
 
 /// Merges unit edges into maximal straight segments plus vias.
 fn merge_edges(edges: &[(Point, Point)]) -> Vec<Segment> {
-    let mut vias: Vec<Segment> = Vec::new();
+    // Vias, first occurrence kept, in first-occurrence order: the final
+    // sort is stable and its key ignores `b.layer`, so this order is
+    // what ranks an up-via against a down-via at one point.
+    let mut vias: Vec<(Point, Point, usize)> = edges
+        .iter()
+        .enumerate()
+        .filter(|(_, (a, b))| a.layer != b.layer)
+        .map(|(k, &(a, b))| (a, b, k))
+        .collect();
+    vias.sort_unstable();
+    vias.dedup_by_key(|&mut (a, b, _)| (a, b));
+    vias.sort_unstable_by_key(|&(_, _, k)| k);
     // Horizontal runs keyed by (layer, y), vertical by (layer, x).
     let mut h_runs: std::collections::HashMap<(u8, i32), Vec<i32>> = Default::default();
     let mut v_runs: std::collections::HashMap<(u8, i32), Vec<i32>> = Default::default();
-    for &(a, b) in edges {
-        if a.layer != b.layer {
-            let s = Segment::new(a, b);
-            if !vias.contains(&s) {
-                vias.push(s);
-            }
-        } else if is_horizontal(a.layer) {
+    for &(a, b) in edges.iter().filter(|(a, b)| a.layer == b.layer) {
+        if is_horizontal(a.layer) {
             // Store the left x of each unit edge.
             h_runs.entry((a.layer, a.y)).or_default().push(a.x.min(b.x));
         } else {
             v_runs.entry((a.layer, a.x)).or_default().push(a.y.min(b.y));
         }
     }
-    let mut out = vias;
+    let mut out: Vec<Segment> = vias
+        .into_iter()
+        .map(|(a, b, _)| Segment::new(a, b))
+        .collect();
     for ((layer, y), mut xs) in h_runs {
         xs.sort_unstable();
         xs.dedup();
@@ -694,5 +743,31 @@ mod tests {
         assert_eq!(wires.len(), 2);
         assert!(wires.iter().any(|s| s.len() == 3));
         assert!(wires.iter().any(|s| s.len() == 1));
+    }
+
+    #[test]
+    fn overlapping_cells_are_a_typed_pin_collision() {
+        let nl = small_netlist();
+        let lib = Library::lib180();
+        let mut placed = place(&nl, &lib, &PlaceOptions::default()).unwrap();
+        // Stack the OR2 on the AND2: the first net to claim a shared
+        // pin point is reported first.
+        placed.cells[1] = placed.cells[0];
+        let err = route(&nl, &lib, &placed, &RouteOptions::default()).unwrap_err();
+        let RouteError::PinCollision { net_a, net_b, .. } = err else {
+            panic!("expected a pin collision, got {err:?}");
+        };
+        assert_eq!((net_a.as_str(), net_b.as_str()), ("b", "c"));
+    }
+
+    #[test]
+    fn merge_keeps_first_occurrence_order_of_tied_vias() {
+        // An up-via and a down-via from one point tie on the sort key;
+        // their order is the order they first appear, duplicates gone.
+        let up = (Point::new(1, 2, 2), Point::new(2, 2, 2));
+        let down = (Point::new(1, 2, 2), Point::new(0, 2, 2));
+        let seg = |(a, b): (Point, Point)| Segment::new(a, b);
+        assert_eq!(merge_edges(&[up, down, up]), vec![seg(up), seg(down)]);
+        assert_eq!(merge_edges(&[down, up, down, up]), vec![seg(down), seg(up)]);
     }
 }

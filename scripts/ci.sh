@@ -57,6 +57,9 @@ cargo run --release --offline -p secflow-bench --bin exp_mtd_1m -- --smoke \
 echo "== tier-1: streaming pipeline bench smoke (stream-vs-batch byte-identity self-check) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- stream_1m --smoke
 
+echo "== tier-1: benchmark smoke (every workload, traced and untraced QoR agree) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: job-server smoke (daemon, warm cache hit, byte-identical payload) =="
 cargo run --release --offline -p secflow -- serve --socket "$tmp/serve.sock" \
     --cache-bytes $((64 * 1024 * 1024)) &
