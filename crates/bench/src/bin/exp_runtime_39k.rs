@@ -15,13 +15,17 @@
 //! volume, not on how the router produced it — maze-routing 39 K
 //! gates is hours of unrelated work).
 //!
+//! The verification step's WDDL rail check (precharge wave plus 32
+//! random complementarity rounds, as the secure flow runs it) is timed
+//! on the same full-size design.
+//!
 //! Usage: `exp_runtime_39k [target_and_nodes] [seed]`
 //! (defaults 72000 AND nodes ≈ 39 K mapped gates, 7).
 
 use std::time::Instant;
 
 use secflow_cells::Library;
-use secflow_core::{decompose, substitute};
+use secflow_core::{decompose, substitute, verify_precharge_wave, verify_rail_complementarity};
 use secflow_crypto::bench_gen::synthetic_design;
 use secflow_netlist::NetlistStats;
 use secflow_pnr::{
@@ -146,6 +150,19 @@ fn main() {
         diff.total_wirelength()
     );
 
+    // --- Verification: the WDDL rail invariants. ---
+    let t = Instant::now();
+    secflow_bench::ok_or_exit(verify_precharge_wave(&sub));
+    secflow_bench::ok_or_exit(verify_rail_complementarity(
+        &mapped,
+        &Library::lib180(),
+        &sub,
+        32,
+        seed,
+    ));
+    let railcheck_s = t.elapsed().as_secs_f64();
+    println!("rail check (precharge wave + 32 complementarity rounds): {railcheck_s:.2} s");
+
     println!("\n=== summary ===");
     println!("{:<28} {:>10}", "stage", "seconds");
     for (stage, s) in [
@@ -153,6 +170,7 @@ fn main() {
         ("cell substitution", substitute_s),
         ("fat placement", place_s),
         ("interconnect decomposition", decompose_s),
+        ("rail check", railcheck_s),
     ] {
         println!("{stage:<28} {s:>10.2}");
     }

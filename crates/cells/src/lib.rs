@@ -12,7 +12,9 @@
 //! [`Library::lib180`] builds the default 0.18 µm-flavoured library used
 //! throughout the reproduction. [`Sop`]/[`isop`] provide the
 //! sum-of-products machinery that the WDDL generator uses to derive
-//! positive dual-rail covers.
+//! positive dual-rail covers; [`push_cube_words`]/[`eval_cube_words`]
+//! turn a cover into the 64-lane word program every zero-delay gate
+//! evaluator of the workspace runs.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@ mod lef;
 mod library;
 mod sop;
 mod tt;
+mod word;
 
 pub use cell::{CellFunction, LibCell};
 pub use export::ParseLibertyError;
@@ -38,3 +41,4 @@ pub use lef::{LefMacro, ROW_HEIGHT_UM, ROW_TRACKS, TRACK_UM};
 pub use library::{Library, MatchedCell};
 pub use sop::{Cube, Sop};
 pub use tt::{isop, TruthTable};
+pub use word::{eval_cube_words, push_cube_words, CubeWord};

@@ -3,7 +3,8 @@
 
 use std::fmt;
 
-use secflow_cells::{CellFunction, Library};
+use secflow_cells::Library;
+use secflow_lec::{CompileError, CompiledComb};
 use secflow_netlist::{GateKind, NetId, Netlist};
 use secflow_rand::SplitMix;
 
@@ -52,6 +53,14 @@ pub enum RailCheckError {
         /// WDDL registers in the differential netlist.
         differential: usize,
     },
+    /// A rail-pair table of the substitution does not have one entry
+    /// per original port (inputs are checked first, then outputs).
+    PortCountMismatch {
+        /// Ports of that direction in the original netlist.
+        original: usize,
+        /// Rail pairs in the substitution's table for them.
+        differential: usize,
+    },
 }
 
 impl fmt::Display for RailCheckError {
@@ -81,54 +90,34 @@ impl fmt::Display for RailCheckError {
                     "register count mismatch: {original} original vs {differential} WDDL"
                 )
             }
+            RailCheckError::PortCountMismatch {
+                original,
+                differential,
+            } => {
+                write!(
+                    f,
+                    "port count mismatch: {original} original ports vs {differential} rail pairs"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for RailCheckError {}
 
-/// Zero-delay evaluation of a netlist's combinational portion with
-/// forced source values; tie outputs are forced to `tie_value`
-/// when given (the precharge check models constants as precharged).
-fn eval(
+/// Compiles `nl` for evaluation, reporting build failures as rail
+/// check errors.
+fn compile(
     nl: &Netlist,
     lib: &Library,
-    forced: &[(NetId, bool)],
     tie_override: Option<bool>,
-) -> Result<Vec<bool>, RailCheckError> {
-    let mut values = vec![false; nl.net_count()];
-    for &(n, v) in forced {
-        values[n.index()] = v;
-    }
-    let order = secflow_netlist::topo_order(nl).ok_or_else(|| RailCheckError::Cyclic {
-        netlist: nl.name.clone(),
-    })?;
-    for gid in order {
-        let g = nl.gate(gid);
-        if g.kind == GateKind::Seq {
-            continue;
-        }
-        let cell = lib.by_name(&g.cell).ok_or_else(|| RailCheckError::UnknownCell {
-            gate: g.name.clone(),
-            cell: g.cell.clone(),
-        })?;
-        match cell.function() {
-            CellFunction::Comb(tt) => {
-                let mut idx = 0u32;
-                for (i, &inp) in g.inputs.iter().enumerate() {
-                    if values[inp.index()] {
-                        idx |= 1 << i;
-                    }
-                }
-                values[g.outputs[0].index()] = tt.eval(idx);
-            }
-            CellFunction::Tie(v) => {
-                values[g.outputs[0].index()] = tie_override.unwrap_or(*v);
-            }
-            CellFunction::Dff | CellFunction::WddlDff => {}
-        }
-    }
-    Ok(values)
+) -> Result<CompiledComb, RailCheckError> {
+    CompiledComb::build(nl, lib, tie_override).map_err(|e| match e {
+        CompileError::Cyclic => RailCheckError::Cyclic {
+            netlist: nl.name.clone(),
+        },
+        CompileError::UnknownCell { gate, cell } => RailCheckError::UnknownCell { gate, cell },
+    })
 }
 
 /// Verifies the pre-discharge wave: with every primary-input rail and
@@ -143,21 +132,27 @@ fn eval(
 /// stays high.
 pub fn verify_precharge_wave(sub: &Substitution) -> Result<(), RailCheckError> {
     let nl = &sub.differential;
-    let values = eval(nl, &sub.diff_lib, &[], Some(false))?;
-    for id in nl.net_ids() {
-        if values[id.index()] {
-            return Err(RailCheckError::PrechargeLeak {
-                net: nl.net(id).name.clone(),
-            });
-        }
+    let mut values = Vec::new();
+    compile(nl, &sub.diff_lib, Some(false))?.eval_into(&mut values, &[], &[]);
+    match nl.net_ids().find(|id| values[id.index()] != 0) {
+        Some(id) => Err(RailCheckError::PrechargeLeak {
+            net: nl.net(id).name.clone(),
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Verifies dual-rail complementarity and output correctness of the
 /// differential netlist against the original single-ended netlist on
 /// `rounds` random source assignments (sources: primary inputs and
 /// register values).
+///
+/// Round `r` draws one value per primary input, then one per register,
+/// from a [`SplitMix`] seeded with `seed`, and runs in bit lane
+/// `r mod 64` of a 64-round block: each block is one compiled
+/// evaluation per netlist. The reported violation is the first one of
+/// the lowest failing round, checking rail pairs, then outputs, then
+/// register inputs.
 ///
 /// # Errors
 ///
@@ -192,61 +187,98 @@ pub fn verify_rail_complementarity(
             differential: diff_regs.len(),
         });
     }
-
-    for _ in 0..rounds {
-        // Random source assignment.
-        let pi_vals: Vec<bool> = original
-            .inputs()
-            .iter()
-            .map(|_| rng.next() & 1 == 1)
-            .collect();
-        let reg_vals: Vec<bool> = orig_regs.iter().map(|_| rng.next() & 1 == 1).collect();
-
-        let mut orig_forced: Vec<(NetId, bool)> = original
-            .inputs()
-            .iter()
-            .copied()
-            .zip(pi_vals.iter().copied())
-            .collect();
-        for ((_, q), &v) in orig_regs.iter().zip(&reg_vals) {
-            orig_forced.push((*q, v));
+    for (original, differential) in [
+        (original.inputs().len(), sub.input_pairs.len()),
+        (original.outputs().len(), sub.output_pairs.len()),
+    ] {
+        if original != differential {
+            return Err(RailCheckError::PortCountMismatch {
+                original,
+                differential,
+            });
         }
-        let orig_values = eval(original, base_lib, &orig_forced, None)?;
+    }
+    if rounds == 0 {
+        return Ok(());
+    }
+    let orig_comb = compile(original, base_lib, None)?;
+    let diff_comb = compile(diff, &sub.diff_lib, None)?;
 
-        let mut diff_forced: Vec<(NetId, bool)> = Vec::new();
-        for (&(t, f), &v) in sub.input_pairs.iter().zip(&pi_vals) {
-            diff_forced.push((t, v));
-            diff_forced.push((f, !v));
+    // Sources in draw order: primary inputs, then register outputs;
+    // each drives one original net and a (true, false) rail pair.
+    let orig_sources: Vec<NetId> = original
+        .inputs()
+        .iter()
+        .copied()
+        .chain(orig_regs.iter().map(|&(_, q)| q))
+        .collect();
+    let diff_sources: Vec<NetId> = sub
+        .input_pairs
+        .iter()
+        .copied()
+        .chain(diff_regs.iter().map(|&(_, _, qt, qf)| (qt, qf)))
+        .flat_map(|(t, f)| [t, f])
+        .collect();
+    // Observed points in report order: primary outputs, then register
+    // D inputs, each an original net against its true rail.
+    let observed: Vec<(NetId, NetId)> = original
+        .outputs()
+        .iter()
+        .zip(&sub.output_pairs)
+        .map(|(&po, &(t, _))| (po, t))
+        .chain(orig_regs.iter().zip(&diff_regs).map(|(r, dr)| (r.0, dr.0)))
+        .collect();
+    let mut words = vec![0u64; orig_sources.len()];
+    let mut rail_words = vec![0u64; diff_sources.len()];
+    let (mut ov, mut dv) = (Vec::new(), Vec::new());
+    let mut first = 0;
+    while first < rounds {
+        let lanes = (rounds - first).min(64);
+        words.fill(0);
+        for lane in 0..lanes {
+            for w in &mut words {
+                *w |= (rng.next() & 1) << lane;
+            }
         }
-        for ((_, _, qt, qf), &v) in diff_regs.iter().zip(&reg_vals) {
-            diff_forced.push((*qt, v));
-            diff_forced.push((*qf, !v));
+        for (rails, &w) in rail_words.chunks_exact_mut(2).zip(&words) {
+            rails[0] = w;
+            rails[1] = !w;
         }
-        let diff_values = eval(diff, &sub.diff_lib, &diff_forced, None)?;
+        orig_comb.eval_into(&mut ov, &orig_sources, &words);
+        diff_comb.eval_into(&mut dv, &diff_sources, &rail_words);
 
-        // Every rail pair complementary.
+        let mut fail = 0u64;
         for p in &sub.pairs {
-            if diff_values[p.t.index()] == diff_values[p.f.index()] {
+            fail |= !(dv[p.t.index()] ^ dv[p.f.index()]);
+        }
+        for &(o, t) in &observed {
+            fail |= ov[o.index()] ^ dv[t.index()];
+        }
+        if lanes < 64 {
+            fail &= (1 << lanes) - 1;
+        }
+        if fail != 0 {
+            // Re-check the lowest failing round in report order.
+            let lane = fail.trailing_zeros();
+            let bit = |w: u64| w >> lane & 1 == 1;
+            if let Some(p) = sub
+                .pairs
+                .iter()
+                .find(|p| bit(dv[p.t.index()]) == bit(dv[p.f.index()]))
+            {
                 return Err(RailCheckError::NotComplementary {
                     t: diff.net(p.t).name.clone(),
                     f: diff.net(p.f).name.clone(),
                 });
             }
-        }
-        // Output pairs reproduce the original outputs.
-        for (i, (&po, &(t, _))) in original.outputs().iter().zip(&sub.output_pairs).enumerate() {
-            if orig_values[po.index()] != diff_values[t.index()] {
-                return Err(RailCheckError::OutputMismatch { index: i });
+            if let Some(index) = observed
+                .iter()
+                .position(|&(o, t)| bit(ov[o.index()]) != bit(dv[t.index()]))
+            {
+                return Err(RailCheckError::OutputMismatch { index });
             }
         }
-        // Register D pairs store the original D value.
-        for (i, ((d, _), (dt, _, _, _))) in orig_regs.iter().zip(&diff_regs).enumerate() {
-            if orig_values[d.index()] != diff_values[dt.index()] {
-                return Err(RailCheckError::OutputMismatch {
-                    index: original.outputs().len() + i,
-                });
-            }
-        }
+        first += lanes;
     }
     Ok(())
 }
@@ -300,5 +332,37 @@ mod tests {
             verify_rail_complementarity(&nl, &lib, &sub, 32, 3),
             Err(RailCheckError::OutputMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn short_pair_tables_are_a_port_count_mismatch() {
+        let (nl, lib) = sample();
+        let sub = substitute(&nl, &lib).unwrap();
+        let mut short = sub.clone();
+        short.output_pairs.pop();
+        assert_eq!(
+            verify_rail_complementarity(&nl, &lib, &short, 32, 3),
+            Err(RailCheckError::PortCountMismatch {
+                original: 1,
+                differential: 0,
+            })
+        );
+        let mut short = sub;
+        short.input_pairs.truncate(1);
+        let e = verify_rail_complementarity(&nl, &lib, &short, 32, 3).unwrap_err();
+        assert_eq!(
+            e,
+            RailCheckError::PortCountMismatch {
+                original: 3,
+                differential: 1,
+            }
+        );
+        let e = crate::FlowError::from(e);
+        assert_eq!(e.stage().name(), "railcheck");
+        assert_eq!(e.exit_code(), 18);
+        assert_eq!(
+            e.to_string(),
+            "WDDL invariant violated: port count mismatch: 3 original ports vs 1 rail pairs"
+        );
     }
 }

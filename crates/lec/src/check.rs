@@ -5,10 +5,11 @@ use std::fmt;
 
 use secflow_rand::{RngExt, SeedableRng, StdRng};
 
-use secflow_cells::{CellFunction, Library, TruthTable};
+use secflow_cells::{CellFunction, Library};
 use secflow_netlist::{GateKind, NetId, Netlist};
 
 use crate::bdd::{Bdd, BddRef};
+use crate::comb::{CompileError, CompiledComb};
 
 /// Why an equivalence check could not even start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,117 +307,17 @@ pub fn check_equiv_with_parity(
     })
 }
 
-/// One resolved step of the bit-parallel combinational walk.
-enum CombOp {
-    /// Truth-table gate: inputs in pin order, single output.
-    Table {
-        tt: TruthTable,
-        inputs: Vec<NetId>,
-        out: NetId,
-    },
-    /// Constant driver.
-    Tie { value: bool, out: NetId },
-}
-
-/// A build-once compilation of a netlist's combinational portion for
-/// random simulation: every cell resolved and every gate placed in
-/// topological order exactly once, instead of per evaluation round.
-/// Shared read-only across the parallel rounds of
-/// [`check_equiv_random_with_parity`].
-struct CompiledComb {
-    n_nets: usize,
-    ops: Vec<CombOp>,
-}
-
-impl CompiledComb {
-    fn build(nl: &Netlist, lib: &Library) -> Result<CompiledComb, LecError> {
-        let order = secflow_netlist::topo_order(nl).ok_or_else(|| LecError::BadNetlist {
-            reason: format!("netlist `{}` has a combinational cycle", nl.name),
-        })?;
-        let mut cell_memo: HashMap<&str, &secflow_cells::LibCell> = HashMap::new();
-        let mut memo_hits = 0u64;
-        let mut ops = Vec::new();
-        for gid in order {
-            let g = nl.gate(gid);
-            if g.kind == GateKind::Seq {
-                continue;
-            }
-            let cell = match cell_memo.get(g.cell.as_str()) {
-                Some(&c) => {
-                    memo_hits += 1;
-                    c
-                }
-                None => {
-                    let c = lib.by_name(&g.cell).ok_or_else(|| LecError::BadNetlist {
-                        reason: format!("unknown cell `{}`", g.cell),
-                    })?;
-                    cell_memo.insert(g.cell.as_str(), c);
-                    c
-                }
-            };
-            match cell.function() {
-                CellFunction::Comb(tt) => ops.push(CombOp::Table {
-                    tt: *tt,
-                    inputs: g.inputs.clone(),
-                    out: g.outputs[0],
-                }),
-                CellFunction::Tie(v) => ops.push(CombOp::Tie {
-                    value: *v,
-                    out: g.outputs[0],
-                }),
-                CellFunction::Dff | CellFunction::WddlDff => {}
-            }
-        }
-        secflow_obs::add(secflow_obs::Counter::LecCellMemoHits, memo_hits);
-        Ok(CompiledComb {
-            n_nets: nl.net_count(),
-            ops,
-        })
-    }
-
-    /// Bit-parallel evaluation of 64 patterns into `values` (reused
-    /// across rounds; resized and zeroed here). `ins` is a per-gate
-    /// input-word buffer, equally reused.
-    fn eval64_into(
-        &self,
-        values: &mut Vec<u64>,
-        ins: &mut Vec<u64>,
-        var_nets: &[NetId],
-        var_values: &[u64],
-        var_neg: &[bool],
-    ) {
-        values.clear();
-        values.resize(self.n_nets, 0u64);
-        for ((&net, &v), &neg) in var_nets.iter().zip(var_values).zip(var_neg) {
-            values[net.index()] = if neg { !v } else { v };
-        }
-        for op in &self.ops {
-            match op {
-                CombOp::Table { tt, inputs, out } => {
-                    let mut word = 0u64;
-                    // Evaluate 64 patterns via table lookups per bit
-                    // position of the packed input words.
-                    ins.clear();
-                    ins.extend(inputs.iter().map(|&n| values[n.index()]));
-                    for bit in 0..64 {
-                        let mut idx = 0u32;
-                        for (i, w) in ins.iter().enumerate() {
-                            if w >> bit & 1 == 1 {
-                                idx |= 1 << i;
-                            }
-                        }
-                        if tt.eval(idx) {
-                            word |= 1 << bit;
-                        }
-                    }
-                    values[out.index()] = word;
-                }
-                CombOp::Tie { value, out } => {
-                    values[out.index()] = if *value { !0 } else { 0 };
-                }
-            }
-        }
-    }
+/// Compiles one side of a random-simulation check, reporting build
+/// failures as [`LecError::BadNetlist`] and the cell-memo hits to obs.
+fn compile(nl: &Netlist, lib: &Library) -> Result<CompiledComb, LecError> {
+    let comp = CompiledComb::build(nl, lib, None).map_err(|e| LecError::BadNetlist {
+        reason: match e {
+            CompileError::Cyclic => format!("netlist `{}` has a combinational cycle", nl.name),
+            CompileError::UnknownCell { cell, .. } => format!("unknown cell `{cell}`"),
+        },
+    })?;
+    secflow_obs::add(secflow_obs::Counter::LecCellMemoHits, comp.cell_memo_hits());
+    Ok(comp)
 }
 
 /// Bit-parallel evaluation of a netlist's combinational portion
@@ -429,10 +330,14 @@ fn eval64(
     var_values: &[u64],
     var_neg: &[bool],
 ) -> Vec<u64> {
-    let comp = CompiledComb::build(nl, lib).expect("acyclic netlist with known cells");
+    let comp = CompiledComb::build(nl, lib, None).expect("acyclic netlist with known cells");
+    let words: Vec<u64> = var_values
+        .iter()
+        .zip(var_neg)
+        .map(|(&v, &neg)| if neg { !v } else { v })
+        .collect();
     let mut values = Vec::new();
-    let mut ins = Vec::new();
-    comp.eval64_into(&mut values, &mut ins, var_nets, var_values, var_neg);
+    comp.eval_into(&mut values, var_nets, &words);
     values
 }
 
@@ -484,20 +389,19 @@ pub fn check_equiv_random_with_parity(
         nl_a.outputs().len() as u64,
     );
     let src = build_sources(nl_a, nl_b)?;
-    let neg = vec![false; src.n_vars];
     // Both netlists are compiled once (cells resolved, topological
     // order fixed) and shared read-only across rounds; each pool
     // worker reuses its evaluation buffers between rounds.
-    let comp_a = CompiledComb::build(nl_a, lib_a)?;
-    let comp_b = CompiledComb::build(nl_b, lib_b)?;
+    let comp_a = compile(nl_a, lib_a)?;
+    let comp_b = compile(nl_b, lib_b)?;
     let failures = secflow_exec::par_map_range_with(
         rounds,
-        || (Vec::new(), Vec::new(), Vec::new()),
-        |(va, vb, ins), round| -> Option<EquivReport> {
+        || (Vec::new(), Vec::new()),
+        |(va, vb), round| -> Option<EquivReport> {
             let mut rng = StdRng::seed_from_u64(secflow_rand::split_seed(seed, round as u64));
             let vars: Vec<u64> = (0..src.n_vars).map(|_| rng.random()).collect();
-            comp_a.eval64_into(va, ins, &src.var_nets_a, &vars, &neg);
-            comp_b.eval64_into(vb, ins, &src.var_nets_b, &vars, &neg);
+            comp_a.eval_into(va, &src.var_nets_a, &vars);
+            comp_b.eval_into(vb, &src.var_nets_b, &vars);
             for (i, (&oa, &ob)) in nl_a.outputs().iter().zip(nl_b.outputs()).enumerate() {
                 let mut wb = vb[ob.index()];
                 if out_parity_b.is_some_and(|p| p[i]) {

@@ -8,7 +8,8 @@
 //!   combinational equivalence;
 //! * [`check_equiv_random`] — 64-bit-parallel random simulation for
 //!   designs whose BDDs would blow up (finds counterexamples only, it
-//!   cannot prove equivalence).
+//!   cannot prove equivalence), on [`CompiledComb`], the workspace's
+//!   compiled zero-delay evaluator (also behind the WDDL rail checks).
 //!
 //! The secure design flow uses this to verify the fat netlist against
 //! the original netlist (cell substitution correctness): primary
@@ -19,9 +20,11 @@
 
 mod bdd;
 mod check;
+mod comb;
 
 pub use bdd::{Bdd, BddRef};
 pub use check::{
     check_equiv, check_equiv_random, check_equiv_random_with_parity, check_equiv_with_parity,
     EquivReport, LecError,
 };
+pub use comb::{CompileError, CompiledComb};

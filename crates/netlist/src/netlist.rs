@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::fmt;
 
 /// Index of a net within a [`Netlist`].
@@ -109,7 +110,65 @@ pub struct Netlist {
     gates: Vec<Gate>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
-    net_names: HashMap<String, NetId>,
+    net_names: NameIndex,
+}
+
+/// Net-name lookup: an open-addressing table of net indices probed
+/// from the name's hash and compared against the names the nets
+/// already hold, so each name is stored once. A map keyed by owned
+/// names doubled the per-net allocations, and freeing those scattered
+/// keys dominated the cost of dropping a large netlist.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    /// `net index + 1` per slot, 0 for empty; the length is zero or a
+    /// power of two, kept at least twice the net count.
+    slots: Vec<u32>,
+}
+
+impl NameIndex {
+    fn hash(name: &str) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        name.hash(&mut h);
+        h.finish()
+    }
+
+    /// The net named `name`, or the empty slot where it would go.
+    fn find(&self, nets: &[Net], name: &str) -> Result<NetId, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::hash(name) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if nets[s as usize - 1].name == name => return Ok(NetId(s - 1)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Records the last of `nets` unless its name is already taken;
+    /// returns whether it was recorded. Rebuilds the table first when
+    /// it would pass half full.
+    fn insert(&mut self, nets: &[Net]) -> bool {
+        let last = nets.len() - 1;
+        if 2 * nets.len() > self.slots.len() {
+            self.slots = vec![0; (4 * nets.len()).next_power_of_two()];
+            for (k, net) in nets[..last].iter().enumerate() {
+                if let Err(s) = self.find(nets, &net.name) {
+                    self.slots[s] = k as u32 + 1;
+                }
+            }
+        }
+        match self.find(nets, &nets[last].name) {
+            Ok(_) => false,
+            Err(s) => {
+                self.slots[s] = nets.len() as u32;
+                true
+            }
+        }
+    }
 }
 
 impl Netlist {
@@ -128,17 +187,17 @@ impl Netlist {
     /// Panics if a net with the same name already exists; net names must
     /// be unique (use [`Netlist::fresh_net`] for auto-generated names).
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
         let id = NetId(self.nets.len() as u32);
-        assert!(
-            self.net_names.insert(name.clone(), id).is_none(),
-            "duplicate net name `{name}`"
-        );
         self.nets.push(Net {
-            name,
+            name: name.into(),
             driver: None,
             sinks: Vec::new(),
         });
+        assert!(
+            self.net_names.insert(&self.nets),
+            "duplicate net name `{}`",
+            self.nets[id.index()].name
+        );
         id
     }
 
@@ -147,7 +206,7 @@ impl Netlist {
         let mut n = self.nets.len();
         loop {
             let candidate = format!("{stem}_{n}");
-            if !self.net_names.contains_key(&candidate) {
+            if self.net_by_name(&candidate).is_none() {
                 return self.add_net(candidate);
             }
             n += 1;
@@ -213,7 +272,7 @@ impl Netlist {
 
     /// Looks up a net by name.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.net_names.get(name).copied()
+        self.net_names.find(&self.nets, name).ok()
     }
 
     /// Returns the net record for `id`.
@@ -372,6 +431,18 @@ mod tests {
     fn duplicate_net_panics() {
         let mut nl = tiny();
         nl.add_net("a");
+    }
+
+    #[test]
+    fn net_by_name_finds_every_net_across_table_growth() {
+        let mut nl = Netlist::new("many");
+        let ids: Vec<NetId> = (0..1000).map(|i| nl.add_net(format!("n{i}"))).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(nl.net_by_name(&format!("n{i}")), Some(id));
+        }
+        assert_eq!(nl.net_by_name("n1000"), None);
+        assert_eq!(nl.net_by_name(""), None);
+        assert_eq!(Netlist::new("empty").net_by_name("n0"), None);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! simulation exploits. [`BitSim`] packs 64 independent campaign
 //! windows into the bit lanes of `u64` words and evaluates gates
 //! obliviously: every gate evaluation computes all 64 lanes at once
-//! with branch-free boolean word operations (an irredundant
-//! sum-of-products program derived from the cell's truth table via
-//! [`secflow_cells::isop`]), and the per-lane supply traces are
-//! reconstructed from lane masks so the result is **byte-identical**
-//! (`f64::to_bits`) to running [`CompiledSim`]'s event kernel once per
-//! lane.
+//! with branch-free boolean word operations (the cell's cube-word
+//! program, [`secflow_cells::push_cube_words`]), and the per-lane
+//! supply traces are reconstructed from lane masks so the result is
+//! **byte-identical** (`f64::to_bits`) to running [`CompiledSim`]'s
+//! event kernel once per lane.
 //!
 //! # Why a lane-masked *event* engine
 //!
@@ -41,7 +40,7 @@
 //! lanes of a ragged batch) never flip a net and contribute nothing.
 //! `tests/bitslice_cross_check.rs` pins this contract.
 
-use secflow_cells::{isop, Library};
+use secflow_cells::{eval_cube_words, push_cube_words, CubeWord, Library};
 use secflow_netlist::{GateId, NetId, Netlist};
 
 use crate::compiled::{CellKind, CompiledSim};
@@ -113,9 +112,8 @@ pub struct BitSim {
     comp: CompiledSim,
     /// CSR offsets into `cubes`, `n_gates + 1` entries.
     cube_offsets: Vec<u32>,
-    /// `(positive literal mask, negative literal mask)` over the
-    /// gate's input pins; `out = OR over cubes of AND over literals`.
-    cubes: Vec<(u8, u8)>,
+    /// Per-gate cube-word programs over the gate's input pins.
+    cubes: Vec<CubeWord>,
     /// Per-net rising charge before crosstalk: `c_eff · Vdd` (fC).
     q_base: Vec<f64>,
     /// Per-net deposit bin count (`ceil(max(2RC, sample) / sample)`).
@@ -148,25 +146,11 @@ impl BitSim {
         let comp = CompiledSim::build(nl, lib, load, cfg)?;
 
         let mut cube_offsets = Vec::with_capacity(comp.n_gates + 1);
-        let mut cubes: Vec<(u8, u8)> = Vec::new();
+        let mut cubes: Vec<CubeWord> = Vec::new();
         cube_offsets.push(0u32);
         for g in 0..comp.n_gates {
             if let CellKind::Comb { tt, .. } = comp.cells[g] {
-                let cover = isop(&tt);
-                let lo = cubes.len();
-                for c in cover.cubes() {
-                    cubes.push((c.pos_mask(), c.neg_mask()));
-                }
-                // The word program must compute exactly the truth
-                // table it replaces — checked once at build, for every
-                // input pattern of this gate.
-                for idx in 0..(1u32 << tt.vars()) {
-                    let got = cubes[lo..]
-                        .iter()
-                        .any(|&(p, n)| (idx & u32::from(p)) == u32::from(p) && (idx & u32::from(n)) == 0);
-                    debug_assert_eq!(got, tt.eval(idx), "ISOP cover diverges from tt");
-                    let _ = got;
-                }
+                push_cube_words(&tt, &mut cubes);
             }
             cube_offsets.push(cubes.len() as u32);
         }
@@ -340,22 +324,7 @@ impl BitSim {
         }
         let clo = self.cube_offsets[g] as usize;
         let chi = self.cube_offsets[g + 1] as usize;
-        let mut out = 0u64;
-        for &(p, n) in &self.cubes[clo..chi] {
-            let mut term = !0u64;
-            let mut pm = p;
-            while pm != 0 {
-                term &= ins[pm.trailing_zeros() as usize];
-                pm &= pm - 1;
-            }
-            let mut nm = n;
-            while nm != 0 {
-                term &= !ins[nm.trailing_zeros() as usize];
-                nm &= nm - 1;
-            }
-            out |= term;
-        }
-        out
+        eval_cube_words(&self.cubes[clo..chi], &ins)
     }
 }
 
