@@ -1,6 +1,7 @@
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Index of a net within a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,28 +118,25 @@ pub struct Netlist {
 /// from the name's hash and compared against the names the nets
 /// already hold, so each name is stored once. A map keyed by owned
 /// names doubled the per-net allocations, and freeing those scattered
-/// keys dominated the cost of dropping a large netlist.
+/// keys was a third of the cost of dropping a large netlist.
 #[derive(Debug, Clone, Default)]
 struct NameIndex {
     /// `net index + 1` per slot, 0 for empty; the length is zero or a
     /// power of two, kept at least twice the net count.
     slots: Vec<u32>,
+    /// Randomly keyed, as `HashMap`'s, so names read from untrusted
+    /// input cannot be chosen to collide.
+    hasher: RandomState,
 }
 
 impl NameIndex {
-    fn hash(name: &str) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut h);
-        h.finish()
-    }
-
     /// The net named `name`, or the empty slot where it would go.
     fn find(&self, nets: &[Net], name: &str) -> Result<NetId, usize> {
         if self.slots.is_empty() {
             return Err(0);
         }
         let mask = self.slots.len() - 1;
-        let mut i = Self::hash(name) as usize & mask;
+        let mut i = self.hasher.hash_one(name) as usize & mask;
         loop {
             match self.slots[i] {
                 0 => return Err(i),
