@@ -110,55 +110,62 @@ impl Library {
         target: &TruthTable,
         allowed: Option<&dyn Fn(&str) -> bool>,
     ) -> Option<MatchedCell> {
-        let inv_allowed = allowed.is_none_or(|f| f("INV"));
-        let inv_area = self.by_name("INV").map(|c| c.area_um2());
-        let mut best: Option<MatchedCell> = None;
-        let mut consider = |cand: MatchedCell| {
-            if best.as_ref().is_none_or(|b| cand.area_um2 < b.area_um2) {
-                best = Some(cand);
-            }
-        };
+        let inv_area = self
+            .by_name("INV")
+            .map(|c| c.area_um2())
+            .filter(|_| allowed.is_none_or(|f| f("INV")));
         let n = target.vars();
+        // Permutation and phase keep the size of the on-set, so a cell
+        // can match only if its on-set is the target's or the
+        // complement's size.
+        let ones = target.ones();
+        // Every permutation of the target, built once and only if some
+        // cell passes the filters.
+        let mut tables: Option<(Vec<Vec<u8>>, Vec<TruthTable>)> = None;
+        let mut best: Option<MatchedCell> = None;
         for (cell, tt) in self.comb_cells() {
-            if let Some(f) = allowed {
-                if !f(cell.name()) {
-                    continue;
-                }
-            }
-            if tt.vars() != n {
+            if tt.vars() != n || (tt.ones() != ones && tt.ones() != (1 << n) - ones) {
                 continue;
             }
-            for perm in permutations(n) {
+            if allowed.is_some_and(|f| !f(cell.name())) {
+                continue;
+            }
+            let (perms, permuted) = tables.get_or_insert_with(|| {
+                let perms = permutations(n);
+                let permuted = perms.iter().map(|p| target.permute(p)).collect();
+                (perms, permuted)
+            });
+            let not_tt = tt.not();
+            for (perm, permuted) in perms.iter().zip(permuted.iter()) {
                 // Cell pin i is fed by target variable perm[i]; the
                 // realized function equals target iff
                 // cell_tt == target.permute(perm).phase(mask)
                 // (optionally complemented).
-                let permuted = target.permute(&perm);
                 for mask in 0..(1u32 << n) {
                     let negs = mask.count_ones();
-                    if negs > 0 && (!inv_allowed || inv_area.is_none()) {
+                    if negs > 0 && inv_area.is_none() {
                         continue;
                     }
                     let shifted = permuted.phase(mask);
-                    let (inverted, matches) = if shifted == *tt {
-                        (false, true)
-                    } else if shifted == tt.not() {
-                        (true, true)
+                    let inverted = if shifted == *tt {
+                        false
+                    } else if shifted == not_tt && inv_area.is_some() {
+                        true
                     } else {
-                        (false, false)
-                    };
-                    if !matches || (inverted && (!inv_allowed || inv_area.is_none())) {
                         continue;
-                    }
+                    };
                     let extra = negs + inverted as u32;
                     let area = cell.area_um2() + f64::from(extra) * inv_area.unwrap_or(0.0);
-                    consider(MatchedCell {
-                        cell: cell.name().to_string(),
-                        perm: perm.clone(),
-                        input_neg: (0..n).map(|i| mask >> i & 1 == 1).collect(),
-                        inverted,
-                        area_um2: area,
-                    });
+                    // Strictly smaller only: the first cheapest match wins.
+                    if best.as_ref().is_none_or(|b| area < b.area_um2) {
+                        best = Some(MatchedCell {
+                            cell: cell.name().to_string(),
+                            perm: perm.clone(),
+                            input_neg: (0..n).map(|i| mask >> i & 1 == 1).collect(),
+                            inverted,
+                            area_um2: area,
+                        });
+                    }
                 }
             }
         }
@@ -392,6 +399,7 @@ pub(crate) fn permutations(n: u8) -> Vec<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn lib180_has_core_cells() {
@@ -480,6 +488,114 @@ mod tests {
         assert!(lib
             .find_match(&TruthTable::and2(), Some(&allowed))
             .is_none());
+    }
+
+    /// The search as it was before it was made allocation-light,
+    /// frozen as the oracle for `find_match`.
+    fn find_match_oracle(
+        lib: &Library,
+        target: &TruthTable,
+        allowed: Option<&dyn Fn(&str) -> bool>,
+    ) -> Option<MatchedCell> {
+        let inv_allowed = allowed.is_none_or(|f| f("INV"));
+        let inv_area = lib.by_name("INV").map(|c| c.area_um2());
+        let mut best: Option<MatchedCell> = None;
+        let mut consider = |cand: MatchedCell| {
+            if best.as_ref().is_none_or(|b| cand.area_um2 < b.area_um2) {
+                best = Some(cand);
+            }
+        };
+        let n = target.vars();
+        for (cell, tt) in lib.comb_cells() {
+            if let Some(f) = allowed {
+                if !f(cell.name()) {
+                    continue;
+                }
+            }
+            if tt.vars() != n {
+                continue;
+            }
+            for perm in permutations(n) {
+                let permuted = target.permute(&perm);
+                for mask in 0..(1u32 << n) {
+                    let negs = mask.count_ones();
+                    if negs > 0 && (!inv_allowed || inv_area.is_none()) {
+                        continue;
+                    }
+                    let shifted = TruthTable::from_fn(n, |a| permuted.eval(a ^ mask));
+                    let (inverted, matches) = if shifted == *tt {
+                        (false, true)
+                    } else if shifted == tt.not() {
+                        (true, true)
+                    } else {
+                        (false, false)
+                    };
+                    if !matches || (inverted && (!inv_allowed || inv_area.is_none())) {
+                        continue;
+                    }
+                    let extra = negs + inverted as u32;
+                    let area = cell.area_um2() + f64::from(extra) * inv_area.unwrap_or(0.0);
+                    consider(MatchedCell {
+                        cell: cell.name().to_string(),
+                        perm: perm.clone(),
+                        input_neg: (0..n).map(|i| mask >> i & 1 == 1).collect(),
+                        inverted,
+                        area_um2: area,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// `find_match` returns exactly the oracle's match for random
+    /// tables and for every cell's own table and its complement, with
+    /// no allowlist and with random allowlists with and without `INV`.
+    #[test]
+    fn find_match_equals_frozen_oracle() {
+        let lib = Library::lib180();
+        let names: Vec<String> = lib
+            .comb_cells()
+            .map(|(c, _)| c.name().to_string())
+            .collect();
+        let own: Vec<TruthTable> = lib
+            .comb_cells()
+            .flat_map(|(_, tt)| [*tt, tt.not()])
+            .collect();
+        for target in &own {
+            assert_eq!(
+                lib.find_match(target, None),
+                find_match_oracle(&lib, target, None),
+                "{target:?} without an allowlist"
+            );
+        }
+        secflow_testkit::prop_check!(cases: 12, seed: 0x7710, |g| {
+            let n = g.random_range(1..6u8);
+            let random = TruthTable::from_bits(n, g.random());
+            assert_eq!(
+                lib.find_match(&random, None),
+                find_match_oracle(&lib, &random, None),
+                "{random:?} without an allowlist"
+            );
+            let mut set: HashSet<String> = names
+                .iter()
+                .filter(|_| g.random_bool(0.5))
+                .cloned()
+                .collect();
+            if g.random_bool(0.5) {
+                set.insert("INV".to_string());
+            } else {
+                set.remove("INV");
+            }
+            let f = |name: &str| set.contains(name);
+            for target in std::iter::once(&random).chain(&own) {
+                assert_eq!(
+                    lib.find_match(target, Some(&f)),
+                    find_match_oracle(&lib, target, Some(&f)),
+                    "{target:?} with allowlist {set:?}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -13,6 +13,19 @@ pub struct TruthTable {
     n: u8,
 }
 
+/// `VAR[v]`: the table of variable `v` over 6 variables. Bit `i` is
+/// set iff bit `v` of `i` is, so `bits & VAR[v]` keeps the half where
+/// `v` is true and shifting it right by `2^v` lines it up with the
+/// half where `v` is false.
+const VAR: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// Mask of the `2^n` valid bits.
 #[inline]
 fn mask(n: u8) -> u64 {
@@ -155,9 +168,12 @@ impl TruthTable {
         Self::from_fn(self.n, |a| !self.eval(!a & ((1 << self.n) - 1)))
     }
 
-    /// True if the function depends on variable `v`.
+    /// True if the function depends on variable `v`: its halves with
+    /// `v` false and `v` true differ.
     pub fn depends_on(&self, v: u8) -> bool {
-        self.cofactor(v, false) != self.cofactor(v, true)
+        assert!(v < self.n);
+        let var = VAR[v as usize];
+        self.bits & !var != (self.bits & var) >> (1u32 << v)
     }
 
     /// The set of variables the function actually depends on.
@@ -198,7 +214,16 @@ impl TruthTable {
     /// complement of variable `i` of `self` whenever bit `i` of `mask`
     /// is set: `tt'(x) = tt(x ^ mask)`.
     pub fn phase(&self, mask: u32) -> Self {
-        Self::from_fn(self.n, |a| self.eval(a ^ mask))
+        debug_assert!(mask < 1 << self.n);
+        let mut bits = self.bits;
+        for v in 0..self.n {
+            if mask >> v & 1 == 1 {
+                // Swap the halves where `v` is false and true.
+                let (var, s) = (VAR[v as usize], 1u32 << v);
+                bits = (bits & var) >> s | (bits & !var) << s;
+            }
+        }
+        TruthTable { bits, n: self.n }
     }
 
     /// Extends the function to `m ≥ n` variables (new variables are
@@ -391,6 +416,28 @@ mod tests {
             let a = TruthTable::from_bits(4, g.random());
             let b = TruthTable::from_bits(4, g.random());
             assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
+        });
+    }
+
+    /// `phase`, `depends_on` and `support` work on the packed bits;
+    /// each equals its pointwise definition on every mask and variable.
+    #[test]
+    fn bit_parallel_ops_match_pointwise_definitions() {
+        secflow_testkit::prop_check!(cases: 64, seed: 0x7706, |g| {
+            let bits: u64 = g.random();
+            for n in 0..=TruthTable::MAX_VARS {
+                let f = TruthTable::from_bits(n, bits);
+                for mask in 0..1u32 << n {
+                    let want = TruthTable::from_fn(n, |a| f.eval(a ^ mask));
+                    assert_eq!(f.phase(mask), want, "phase n={n} mask={mask:#b}");
+                }
+                let depends = |v: u8| f.cofactor(v, false) != f.cofactor(v, true);
+                for v in 0..n {
+                    assert_eq!(f.depends_on(v), depends(v), "depends_on n={n} v={v}");
+                }
+                let support: Vec<u8> = (0..n).filter(|&v| depends(v)).collect();
+                assert_eq!(f.support(), support, "support n={n}");
+            }
         });
     }
 

@@ -136,7 +136,7 @@ pub fn verify_precharge_wave(sub: &Substitution) -> Result<(), RailCheckError> {
     compile(nl, &sub.diff_lib, Some(false))?.eval_into(&mut values, &[], &[]);
     match nl.net_ids().find(|id| values[id.index()] != 0) {
         Some(id) => Err(RailCheckError::PrechargeLeak {
-            net: nl.net(id).name.clone(),
+            net: nl.net(id).name.to_string(),
         }),
         None => Ok(()),
     }
@@ -267,8 +267,8 @@ pub fn verify_rail_complementarity(
                 .find(|p| bit(dv[p.t.index()]) == bit(dv[p.f.index()]))
             {
                 return Err(RailCheckError::NotComplementary {
-                    t: diff.net(p.t).name.clone(),
-                    f: diff.net(p.f).name.clone(),
+                    t: diff.net(p.t).name.to_string(),
+                    f: diff.net(p.f).name.to_string(),
                 });
             }
             if let Some(index) = observed

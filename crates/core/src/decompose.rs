@@ -137,7 +137,7 @@ pub fn decompose_styled(
         if !pair_of.contains_key(&net) {
             return Err(DecomposeError::MissingRailPair {
                 net: if net.index() < sub.fat.net_count() {
-                    sub.fat.net(net).name.clone()
+                    sub.fat.net(net).name.to_string()
                 } else {
                     format!("{net}")
                 },
@@ -203,7 +203,7 @@ pub fn decompose_styled(
                 // The routed net id may not even exist in the fat
                 // netlist; fall back to its raw id.
                 net: if rn.net.index() < sub.fat.net_count() {
-                    sub.fat.net(rn.net).name.clone()
+                    sub.fat.net(rn.net).name.to_string()
                 } else {
                     format!("{}", rn.net)
                 },

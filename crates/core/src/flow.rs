@@ -487,6 +487,36 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_map_options_fail_in_synth() {
+        use crate::error::Stage;
+        use secflow_synth::MapError;
+        let lib = Library::lib180();
+        for (cut_size, cuts_per_node) in [(0, 8), (7, 40), (5, 0)] {
+            let opts = FlowOptions {
+                map: MapOptions {
+                    cut_size,
+                    cuts_per_node,
+                    allowed_cells: None,
+                },
+                ..Default::default()
+            };
+            for r in [
+                run_regular_flow(&toy_design(), &lib, &opts).map(|_| ()),
+                run_secure_flow(&toy_design(), &lib, &opts).map(|_| ()),
+            ] {
+                let e = r.expect_err("out-of-range map options");
+                assert!(
+                    matches!(e, FlowError::Map(MapError::BadOptions { .. })),
+                    "{e:?}"
+                );
+                assert_eq!(e.stage(), Stage::Synth);
+                assert_eq!(e.kind(), "BadOptions");
+                assert_eq!(e.exit_code(), 11);
+            }
+        }
+    }
+
+    #[test]
     fn regular_flow_completes() {
         let lib = Library::lib180();
         let r = run_regular_flow(&toy_design(), &lib, &FlowOptions::default()).unwrap();

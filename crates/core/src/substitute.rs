@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use secflow_cells::{CellFunction, Library, TruthTable};
-use secflow_netlist::{GateId, GateKind, NetId, Netlist};
+use secflow_netlist::{GateId, GateKind, NetId, Netlist, Pins};
 
 use crate::wddl::{CoverNet, PrimSrc, WddlLibrary, WDDL_DFFN_FAT, WDDL_DFF_FAT, WDDL_REGISTER};
 
@@ -124,7 +124,7 @@ pub fn substitute(nl: &Netlist, base: &Library) -> Result<Substitution, Substitu
     let cell_of = |g: GateId| -> Result<&secflow_cells::LibCell, SubstituteError> {
         base.by_name(&nl.gate(g).cell)
             .ok_or_else(|| SubstituteError::UnknownCell {
-                cell: nl.gate(g).cell.clone(),
+                cell: nl.gate(g).cell.to_string(),
             })
     };
 
@@ -219,7 +219,7 @@ pub fn substitute(nl: &Netlist, base: &Library) -> Result<Substitution, Substitu
                 // Substituting an already-differential netlist is not
                 // meaningful; treat as unknown.
                 return Err(SubstituteError::UnknownCell {
-                    cell: g.cell.clone(),
+                    cell: g.cell.to_string(),
                 });
             }
             CellFunction::Comb(tt) => {
@@ -241,7 +241,7 @@ pub fn substitute(nl: &Netlist, base: &Library) -> Result<Substitution, Substitu
                     g.name.clone(),
                     fat_name,
                     GateKind::Comb,
-                    in_roots.iter().map(|r| fat_net[r]).collect(),
+                    in_roots.iter().map(|r| fat_net[r]).collect::<Pins>(),
                     vec![fat_net[&y]],
                 );
                 let (yt, yf) = rails[&y];

@@ -104,8 +104,8 @@ impl CompiledComb {
                     let cell = lib
                         .by_name(&g.cell)
                         .ok_or_else(|| CompileError::UnknownCell {
-                            gate: g.name.clone(),
-                            cell: g.cell.clone(),
+                            gate: g.name.to_string(),
+                            cell: g.cell.to_string(),
                         })?;
                     let p = comp.push_program(cell.function(), tie_override);
                     memo.insert(g.cell.as_str(), p);

@@ -33,6 +33,7 @@
 
 mod error;
 mod graph;
+mod inline;
 mod netlist;
 mod stats;
 mod validate;
@@ -42,6 +43,7 @@ pub use error::NetlistError;
 pub use graph::{
     combinational_levels, fanout_map, find_combinational_cycle, topo_order, FanoutCsr,
 };
-pub use netlist::{Gate, GateId, GateKind, Net, NetId, Netlist, PinRef};
+pub use inline::{InlineStr, InlineVec};
+pub use netlist::{Gate, GateId, GateKind, Net, NetId, Netlist, PinRef, Pins, Sinks};
 pub use stats::NetlistStats;
 pub use verilog::{parse_verilog, structurally_equal, write_verilog};

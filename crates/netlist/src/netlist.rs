@@ -3,12 +3,20 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
 
+use crate::inline::{InlineStr, InlineVec};
+
+/// The pin list of a gate: up to 6 nets in place.
+pub type Pins = InlineVec<NetId, 6>;
+
+/// The sink list of a net: up to 3 pins in place.
+pub type Sinks = InlineVec<PinRef, 3>;
+
 /// Index of a net within a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub u32);
 
 /// Index of a gate instance within a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GateId(pub u32);
 
 impl NetId {
@@ -55,7 +63,7 @@ pub enum GateKind {
 }
 
 /// A reference to one pin of one gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PinRef {
     /// The gate owning the pin.
     pub gate: GateId,
@@ -74,15 +82,15 @@ pub struct PinRef {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gate {
     /// Unique instance name.
-    pub name: String,
+    pub name: InlineStr,
     /// Library cell name, e.g. `"AOI32"`.
-    pub cell: String,
+    pub cell: InlineStr,
     /// Combinational / sequential / tie classification.
     pub kind: GateKind,
     /// Nets connected to the input pins, in pin order.
-    pub inputs: Vec<NetId>,
+    pub inputs: Pins,
     /// Nets driven by the output pins, in pin order.
-    pub outputs: Vec<NetId>,
+    pub outputs: Pins,
 }
 
 /// A net: a single electrical node connecting one driver to zero or
@@ -90,12 +98,12 @@ pub struct Gate {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Net {
     /// Unique net name.
-    pub name: String,
+    pub name: InlineStr,
     /// The gate output pin driving this net, if any. Primary inputs
     /// have no driver.
     pub driver: Option<PinRef>,
     /// All gate input pins reading this net.
-    pub sinks: Vec<PinRef>,
+    pub sinks: Sinks,
 }
 
 /// A flat, technology-mapped gate-level netlist.
@@ -140,7 +148,7 @@ impl NameIndex {
         loop {
             match self.slots[i] {
                 0 => return Err(i),
-                s if nets[s as usize - 1].name == name => return Ok(NetId(s - 1)),
+                s if *nets[s as usize - 1].name == *name => return Ok(NetId(s - 1)),
                 _ => i = (i + 1) & mask,
             }
         }
@@ -184,12 +192,12 @@ impl Netlist {
     ///
     /// Panics if a net with the same name already exists; net names must
     /// be unique (use [`Netlist::fresh_net`] for auto-generated names).
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_net(&mut self, name: impl Into<InlineStr>) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net {
             name: name.into(),
             driver: None,
-            sinks: Vec::new(),
+            sinks: Sinks::new(),
         });
         assert!(
             self.net_names.insert(&self.nets),
@@ -212,7 +220,7 @@ impl Netlist {
     }
 
     /// Adds a primary input: a net driven from outside the module.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_input(&mut self, name: impl Into<InlineStr>) -> NetId {
         let id = self.add_net(name);
         self.inputs.push(id);
         id
@@ -231,12 +239,13 @@ impl Netlist {
     /// Panics if any output net already has a driver.
     pub fn add_gate(
         &mut self,
-        name: impl Into<String>,
-        cell: impl Into<String>,
+        name: impl Into<InlineStr>,
+        cell: impl Into<InlineStr>,
         kind: GateKind,
-        inputs: Vec<NetId>,
-        outputs: Vec<NetId>,
+        inputs: impl Into<Pins>,
+        outputs: impl Into<Pins>,
     ) -> GateId {
+        let (inputs, outputs) = (inputs.into(), outputs.into());
         let gid = GateId(self.gates.len() as u32);
         for (pin, &net) in inputs.iter().enumerate() {
             self.nets[net.index()].sinks.push(PinRef {
@@ -337,7 +346,7 @@ impl Netlist {
             let g = &mut self.gates[pin.gate.index()];
             g.inputs[pin.pin as usize] = to;
         }
-        self.nets[to.index()].sinks.extend(moved);
+        self.nets[to.index()].sinks.extend(moved.iter().copied());
         // Primary outputs reading `from` move too.
         for out in &mut self.outputs {
             if *out == from {
@@ -380,7 +389,7 @@ impl Netlist {
     pub fn cell_histogram(&self) -> Vec<(String, usize)> {
         let mut map: HashMap<&str, usize> = HashMap::new();
         for g in &self.gates {
-            *map.entry(g.cell.as_str()).or_insert(0) += 1;
+            *map.entry(&*g.cell).or_insert(0) += 1;
         }
         let mut v: Vec<(String, usize)> =
             map.into_iter().map(|(k, n)| (k.to_string(), n)).collect();

@@ -25,12 +25,12 @@ impl Netlist {
             let driven = net.driver.is_some() || input_set.contains(&id);
             if used && !driven {
                 return Err(NetlistError::NoDriver {
-                    net: net.name.clone(),
+                    net: net.name.to_string(),
                 });
             }
             if net.driver.is_some() && input_set.contains(&id) {
                 return Err(NetlistError::MultipleDrivers {
-                    net: net.name.clone(),
+                    net: net.name.to_string(),
                 });
             }
         }
@@ -38,13 +38,13 @@ impl Netlist {
         for g in self.gates() {
             if !names.insert(g.name.as_str()) {
                 return Err(NetlistError::DuplicateGateName {
-                    name: g.name.clone(),
+                    name: g.name.to_string(),
                 });
             }
         }
         if let Some(g) = find_combinational_cycle(self) {
             return Err(NetlistError::CombinationalCycle {
-                gate: self.gate(g).name.clone(),
+                gate: self.gate(g).name.to_string(),
             });
         }
         Ok(())

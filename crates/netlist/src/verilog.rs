@@ -20,6 +20,7 @@
 //! Y2, ...`) and sequential outputs are `Q` (then `Q1, ...`).
 
 use crate::error::NetlistError;
+use crate::inline::InlineStr;
 use crate::netlist::{GateKind, NetId, Netlist};
 
 const INPUT_NAMES: [&str; 8] = ["A", "B", "C", "D", "E", "F", "G", "H"];
@@ -300,8 +301,8 @@ pub fn parse_verilog(text: &str, seq_cells: &[&str]) -> Result<Netlist, NetlistE
                 });
             }
         }
-        let input_ids = ins.into_iter().map(|(_, _, id)| id).collect();
-        let output_ids = outs.into_iter().map(|(_, _, id)| id).collect();
+        let input_ids: Vec<NetId> = ins.into_iter().map(|(_, _, id)| id).collect();
+        let output_ids: Vec<NetId> = outs.into_iter().map(|(_, _, id)| id).collect();
         nl.add_gate(inst, cell, kind, input_ids, output_ids);
     }
 
@@ -350,7 +351,7 @@ pub fn structurally_equal(a: &Netlist, b: &Netlist) -> bool {
         v.sort();
         v
     };
-    let ports = |nl: &Netlist| -> (Vec<String>, Vec<String>) {
+    let ports = |nl: &Netlist| -> (Vec<InlineStr>, Vec<InlineStr>) {
         (
             nl.inputs()
                 .iter()
@@ -514,7 +515,7 @@ mod proptests {
                         _ => ("NAND4", 4),
                     };
                     let srcs = [*a, *b, *c, a ^ b];
-                    let ins = (0..n_in).map(|i| pick(srcs[i], &nets)).collect();
+                    let ins: Vec<NetId> = (0..n_in).map(|i| pick(srcs[i], &nets)).collect();
                     nl.add_gate(format!("g{gi}"), cell, GateKind::Comb, ins, vec![out]);
                 }
                 nets.push(out);

@@ -2,7 +2,7 @@
 //! with a text writer/reader for the `fat.def` / `diff.def` flow
 //! artifacts.
 
-use secflow_cells::Library;
+use secflow_cells::{LefMacro, Library};
 use secflow_netlist::{GateId, NetId, Netlist, NetlistError};
 
 use crate::grid::{GridPitch, Point, Segment, LAYER_H, LAYER_V};
@@ -60,11 +60,11 @@ impl PlacedDesign {
         pin: usize,
         is_output: bool,
     ) -> (i32, i32) {
-        let g = nl.gate(gate);
-        let mac = lib
-            .by_name(&g.cell)
-            .unwrap_or_else(|| panic!("unknown cell `{}`", g.cell))
-            .physical();
+        self.pin_at(macro_of(nl, lib, gate), gate, pin, is_output)
+    }
+
+    /// [`PlacedDesign::pin_point`] with the gate's macro resolved.
+    fn pin_at(&self, mac: &LefMacro, gate: GateId, pin: usize, is_output: bool) -> (i32, i32) {
         let off = if is_output {
             mac.output_pin_tracks[pin]
         } else {
@@ -106,9 +106,114 @@ impl PlacedDesign {
         bbox_hpwl(&self.net_pins(nl, lib, net))
     }
 
-    /// Total half-perimeter wirelength over all nets, in grid units.
+    /// Total half-perimeter wirelength over all nets, in grid units:
+    /// the sum of [`PlacedDesign::net_hpwl`] over every net, in one
+    /// pass that resolves each distinct cell once and each pad by net
+    /// index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate's cell is not in `lib`.
     pub fn total_hpwl(&self, nl: &Netlist, lib: &Library) -> i64 {
-        nl.net_ids().map(|n| self.net_hpwl(nl, lib, n)).sum()
+        // The few distinct cells, found by a linear scan; no hashing.
+        let mut distinct: Vec<(&str, &LefMacro)> = Vec::new();
+        let macros: Vec<&LefMacro> = nl
+            .gate_ids()
+            .map(|g| {
+                let cell = &*nl.gate(g).cell;
+                match distinct.iter().find(|(name, _)| *name == cell) {
+                    Some(&(_, mac)) => mac,
+                    None => {
+                        let mac = macro_of(nl, lib, g);
+                        distinct.push((cell, mac));
+                        mac
+                    }
+                }
+            })
+            .collect();
+        // The first pad of each net wins, as `net_pins` finds it.
+        let pad_rows = |pads: &[(NetId, i32)]| {
+            let mut rows = vec![None; nl.net_count()];
+            for &(n, y) in pads {
+                rows[n.index()].get_or_insert(y);
+            }
+            rows
+        };
+        let (in_pads, out_pads) = (pad_rows(&self.input_pads), pad_rows(&self.output_pads));
+        let mut total = 0;
+        for net in nl.net_ids() {
+            let rec = nl.net(net);
+            let mut bbox = BBox::default();
+            match rec.driver {
+                Some(d) => {
+                    bbox.add(self.pin_at(macros[d.gate.index()], d.gate, d.pin as usize, true))
+                }
+                None => {
+                    if let Some(y) = in_pads[net.index()] {
+                        bbox.add((0, y));
+                    }
+                }
+            }
+            for s in &rec.sinks {
+                bbox.add(self.pin_at(macros[s.gate.index()], s.gate, s.pin as usize, false));
+            }
+            if let Some(y) = out_pads[net.index()] {
+                bbox.add((self.width - 1, y));
+            }
+            total += bbox.hpwl();
+        }
+        total
+    }
+}
+
+/// The macro of `gate`'s cell.
+///
+/// # Panics
+///
+/// Panics if the cell is not in `lib`.
+fn macro_of<'a>(nl: &Netlist, lib: &'a Library, gate: GateId) -> &'a LefMacro {
+    let g = nl.gate(gate);
+    lib.by_name(&g.cell)
+        .unwrap_or_else(|| panic!("unknown cell `{}`", g.cell))
+        .physical()
+}
+
+/// A running bounding box of pins, as `bbox_hpwl` computes it.
+struct BBox {
+    pins: usize,
+    x0: i32,
+    x1: i32,
+    y0: i32,
+    y1: i32,
+}
+
+impl Default for BBox {
+    fn default() -> Self {
+        BBox {
+            pins: 0,
+            x0: i32::MAX,
+            x1: i32::MIN,
+            y0: i32::MAX,
+            y1: i32::MIN,
+        }
+    }
+}
+
+impl BBox {
+    fn add(&mut self, (x, y): (i32, i32)) {
+        self.pins += 1;
+        self.x0 = self.x0.min(x);
+        self.x1 = self.x1.max(x);
+        self.y0 = self.y0.min(y);
+        self.y1 = self.y1.max(y);
+    }
+
+    /// Half-perimeter, 0 for fewer than two pins.
+    fn hpwl(&self) -> i64 {
+        if self.pins < 2 {
+            return 0;
+        }
+        i64::from(self.x1 - self.x0) + i64::from(self.y1 - self.y0)
     }
 }
 
@@ -447,6 +552,26 @@ mod tests {
         // Driver pin at cell x=3 + AND2 output pin offset, row 1 center.
         let hp = d.placed.net_hpwl(&nl, &lib, y);
         assert!(hp > 0);
+    }
+
+    #[test]
+    fn total_hpwl_is_the_sum_of_net_hpwl() {
+        let (mut nl, mut d) = tiny();
+        let lib = Library::lib180();
+        // A second gate, a sinkless net and a repeated pad whose first
+        // occurrence wins.
+        let a = nl.net_by_name("a").unwrap();
+        let y = nl.net_by_name("y").unwrap();
+        let z = nl.add_net("z");
+        nl.add_gate("g1", "INV", GateKind::Comb, [y], [z]);
+        nl.add_net("dangling");
+        d.placed.cells.push(PlacedCell { x: 11, row: 0 });
+        d.placed.input_pads.push((a, 9));
+        d.placed.output_pads.push((z, 5));
+        d.placed.output_pads.push((z, 15));
+        let want: i64 = nl.net_ids().map(|n| d.placed.net_hpwl(&nl, &lib, n)).sum();
+        assert_eq!(d.placed.total_hpwl(&nl, &lib), want);
+        assert!(want > 0);
     }
 
     #[test]

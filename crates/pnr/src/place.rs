@@ -81,8 +81,8 @@ fn gate_macros<'a>(nl: &Netlist, lib: &'a Library) -> Result<Vec<&'a LefMacro>, 
         .map(|g| match lib.by_name(&g.cell) {
             Some(cell) => Ok(cell.physical()),
             None => Err(PlaceError::UnknownCell {
-                gate: g.name.clone(),
-                cell: g.cell.clone(),
+                gate: g.name.to_string(),
+                cell: g.cell.to_string(),
             }),
         })
         .collect()
@@ -867,7 +867,7 @@ mod tests {
             .collect();
         for k in 0..g.len_in(2..40) {
             let &(cell, arity) = g.choose(&CELLS);
-            let inputs = (0..arity).map(|_| *g.choose(&nets)).collect();
+            let inputs: Vec<NetId> = (0..arity).map(|_| *g.choose(&nets)).collect();
             let y = nl.add_net(format!("n{k}"));
             nl.add_gate(format!("g{k}"), cell, GateKind::Comb, inputs, vec![y]);
             nets.push(y);

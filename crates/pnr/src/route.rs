@@ -252,8 +252,8 @@ pub fn route(
     for g in nl.gates() {
         if lib.by_name(&g.cell).is_none() {
             return Err(RouteError::UnknownCell {
-                gate: g.name.clone(),
-                cell: g.cell.clone(),
+                gate: g.name.to_string(),
+                cell: g.cell.to_string(),
             });
         }
     }
@@ -274,7 +274,7 @@ pub fn route(
         for &(x, y) in &pins {
             if x < 0 || x >= placed.width || y < 0 || y >= placed.height {
                 return Err(RouteError::PinOutOfBounds {
-                    net: nl.net(net).name.clone(),
+                    net: nl.net(net).name.to_string(),
                     x,
                     y,
                 });
@@ -283,8 +283,8 @@ pub fn route(
                 let i = usize::from(layer) * plane + (y * placed.width + x) as usize;
                 if let Some(other) = pins_owned.claim(i, net) {
                     return Err(RouteError::PinCollision {
-                        net_a: nl.net(other).name.clone(),
-                        net_b: nl.net(net).name.clone(),
+                        net_a: nl.net(other).name.to_string(),
+                        net_b: nl.net(net).name.to_string(),
                         x,
                         y,
                     });
@@ -336,7 +336,7 @@ pub fn route(
                 &pins_owned,
             )
             .ok_or_else(|| RouteError::Unreachable {
-                net: nl.net(*net).name.clone(),
+                net: nl.net(*net).name.to_string(),
             })?;
             for &p in &tree {
                 grid.occupy(p);

@@ -136,8 +136,8 @@ impl CompiledSim {
                 Some(&i) => i,
                 None => {
                     let i = lib.index_of(&g.cell).ok_or_else(|| SimError::UnknownCell {
-                        gate: g.name.clone(),
-                        cell: g.cell.clone(),
+                        gate: g.name.to_string(),
+                        cell: g.cell.to_string(),
                     })?;
                     name_memo.insert(g.cell.as_str(), i);
                     i

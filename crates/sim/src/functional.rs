@@ -36,8 +36,8 @@ pub fn eval_comb(
             continue;
         }
         let cell = lib.by_name(&g.cell).ok_or_else(|| SimError::UnknownCell {
-            gate: g.name.clone(),
-            cell: g.cell.clone(),
+            gate: g.name.to_string(),
+            cell: g.cell.to_string(),
         })?;
         match cell.function() {
             CellFunction::Comb(tt) => {

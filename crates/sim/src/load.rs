@@ -47,8 +47,8 @@ impl LoadModel {
         let resolve = |gate: secflow_netlist::GateId| {
             let g = nl.gate(gate);
             lib.by_name(&g.cell).ok_or_else(|| SimError::UnknownCell {
-                gate: g.name.clone(),
-                cell: g.cell.clone(),
+                gate: g.name.to_string(),
+                cell: g.cell.to_string(),
             })
         };
 

@@ -54,10 +54,12 @@ pub fn analyze(
         if g.kind != GateKind::Comb {
             continue;
         }
-        let cell = lib.by_name(&g.cell).ok_or_else(|| crate::SimError::UnknownCell {
-            gate: g.name.clone(),
-            cell: g.cell.clone(),
-        })?;
+        let cell = lib
+            .by_name(&g.cell)
+            .ok_or_else(|| crate::SimError::UnknownCell {
+                gate: g.name.to_string(),
+                cell: g.cell.to_string(),
+            })?;
         if !matches!(cell.function(), CellFunction::Comb(_)) {
             continue;
         }

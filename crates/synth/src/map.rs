@@ -9,8 +9,10 @@
 //! which gates synthesis may use) are honoured through
 //! [`MapOptions::allowed_cells`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use secflow_cells::{Library, MatchedCell, TruthTable};
 use secflow_netlist::{GateKind, NetId, Netlist};
@@ -49,31 +51,195 @@ pub enum MapError {
         /// Human-readable description of the failing function.
         reason: String,
     },
+    /// The [`MapOptions`] are out of range: a cut size outside
+    /// `1..=6` or no cuts kept per node.
+    BadOptions {
+        /// Which option is out of range, and its value.
+        reason: String,
+    },
 }
 
 impl fmt::Display for MapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MapError::Unmappable { reason } => write!(f, "unmappable function: {reason}"),
+            MapError::BadOptions { reason } => write!(f, "bad mapper options: {reason}"),
         }
     }
 }
 
 impl std::error::Error for MapError {}
 
-/// A cut: a sorted set of leaf nodes.
-type Cut = Vec<NodeId>;
+impl MapOptions {
+    /// Checks that the options are in range: truth tables hold at most
+    /// 6 variables, and a mapper that keeps no cuts can cover nothing.
+    fn validate(&self) -> Result<(), MapError> {
+        let reason = if self.cut_size == 0 || self.cut_size > TruthTable::MAX_VARS {
+            format!("cut_size {} is outside 1..=6", self.cut_size)
+        } else if self.cuts_per_node == 0 {
+            "cuts_per_node is 0".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(MapError::BadOptions { reason })
+    }
+}
+
+/// A cut: a sorted set of at most 6 leaf nodes, stored inline, with a
+/// signature that has bit `id % 64` set for every leaf `id`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cut {
+    leaves: [NodeId; 6],
+    len: u8,
+    sig: u64,
+}
+
+impl Cut {
+    fn trivial(id: NodeId) -> Self {
+        let mut leaves = [NodeId(0); 6];
+        leaves[0] = id;
+        Cut {
+            leaves,
+            len: 1,
+            sig: 1 << (id.0 % 64),
+        }
+    }
+
+    fn leaves(&self) -> &[NodeId] {
+        &self.leaves[..self.len as usize]
+    }
+
+    /// The sorted union of `a` and `b`, or `None` if it has more than
+    /// `k` leaves.
+    fn merge(a: &Cut, b: &Cut, k: usize) -> Option<Cut> {
+        let sig = a.sig | b.sig;
+        // Distinct signature bits are distinct leaves.
+        if sig.count_ones() as usize > k {
+            return None;
+        }
+        let (a, b) = (a.leaves(), b.leaves());
+        let mut out = Cut {
+            leaves: [NodeId(0); 6],
+            len: 0,
+            sig,
+        };
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        loop {
+            let next = match (a.get(i), b.get(j)) {
+                (None, None) => break,
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    x
+                }
+                (Some(&x), Some(&y)) if y < x => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), _) => {
+                    i += 1;
+                    x
+                }
+                (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+            };
+            if n == k {
+                return None;
+            }
+            out.leaves[n] = next;
+            n += 1;
+        }
+        out.len = n as u8;
+        Some(out)
+    }
+
+    fn same_leaves(&self, other: &Cut) -> bool {
+        self.sig == other.sig && self.len == other.len && self.leaves() == other.leaves()
+    }
+}
+
+/// Open-addressing match cache keyed by (variable count, table bits).
+/// Each slot holds the key and the index of the match in `matches`, or
+/// `NO_MATCH` if no cell realizes the function. Every cut looks its
+/// table up here, so the hash is one multiplication, not SipHash; the
+/// multiplier is random and odd, so (as with `HashMap`'s random keys)
+/// the tables of a design cannot be chosen to collide.
+struct MatchCache {
+    /// `(n, bits, entry)`; `n == EMPTY` marks a free slot. The length
+    /// is a power of two, kept at least twice the entry count.
+    slots: Vec<(u8, u64, u32)>,
+    len: usize,
+    /// `64 - log2(slots.len())`: the hash is the product's top bits.
+    shift: u32,
+    mult: u64,
+    /// Every distinct match found, stored once.
+    matches: Vec<MatchedCell>,
+}
+
+const EMPTY: u8 = u8::MAX;
+const NO_MATCH: u32 = u32::MAX;
+
+impl MatchCache {
+    fn new() -> Self {
+        MatchCache {
+            slots: vec![(EMPTY, 0, 0); 256],
+            len: 0,
+            shift: 64 - 8,
+            mult: RandomState::new().hash_one(0u64) | 1,
+            matches: Vec::new(),
+        }
+    }
+
+    /// The slot holding `(n, bits)`, or the free slot where it goes.
+    fn slot(&self, n: u8, bits: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = ((bits ^ u64::from(n)).wrapping_mul(self.mult) >> self.shift) as usize;
+        loop {
+            let (sn, sb, _) = self.slots[i];
+            if sn == EMPTY || (sn == n && sb == bits) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, n: u8, bits: u64, entry: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![(EMPTY, 0, 0); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.shift -= 1;
+            for (sn, sb, e) in old.into_iter().filter(|s| s.0 != EMPTY) {
+                let i = self.slot(sn, sb);
+                self.slots[i] = (sn, sb, e);
+            }
+        }
+        let i = self.slot(n, bits);
+        self.slots[i] = (n, bits, entry);
+        self.len += 1;
+    }
+}
 
 struct Mapper<'a> {
     aig: &'a Aig,
     lib: &'a Library,
     opts: &'a MapOptions,
-    /// Kept cuts per node.
-    cuts: Vec<Vec<Cut>>,
-    /// Match cache keyed by (vars, tt bits).
-    match_cache: HashMap<(u8, u64), Option<MatchedCell>>,
-    /// Chosen (cut, match) per AND node.
-    chosen: Vec<Option<(Cut, MatchedCell)>>,
+    /// Kept cuts of every node, back to back; node `i`'s are
+    /// `cuts[cut_start[i]..cut_start[i + 1]]` once it is processed.
+    cuts: Vec<Cut>,
+    cut_start: Vec<u32>,
+    /// Candidate cuts of the node being processed, reused.
+    merged: Vec<Cut>,
+    /// `cut_tt` memo: table bits per node, valid when the stamp equals
+    /// the current epoch.
+    tt_memo: Vec<(u32, u64)>,
+    epoch: u32,
+    /// `VAR_TT[n][i]`: the table of variable `i` over `n` variables.
+    var_tt: [[u64; 6]; 7],
+    match_cache: MatchCache,
+    /// Chosen (cut, index into `match_cache.matches`) per AND node.
+    chosen: Vec<Option<(Cut, u32)>>,
     /// Area-flow value per node.
     aflow: Vec<f64>,
     refs: Vec<u32>,
@@ -82,60 +248,76 @@ struct Mapper<'a> {
 impl<'a> Mapper<'a> {
     fn new(aig: &'a Aig, lib: &'a Library, opts: &'a MapOptions, roots: &[Lit]) -> Self {
         let n = aig.node_count();
+        let mut var_tt = [[0u64; 6]; 7];
+        for (vars, row) in (0u8..).zip(var_tt.iter_mut()) {
+            for i in 0..vars {
+                row[i as usize] = TruthTable::var(vars, i).bits();
+            }
+        }
         Mapper {
             aig,
             lib,
             opts,
-            cuts: vec![Vec::new(); n],
-            match_cache: HashMap::new(),
+            cuts: Vec::new(),
+            cut_start: Vec::with_capacity(n + 1),
+            merged: Vec::new(),
+            tt_memo: vec![(0, 0); n],
+            epoch: 0,
+            var_tt,
+            match_cache: MatchCache::new(),
             chosen: vec![None; n],
             aflow: vec![0.0; n],
             refs: aig.reference_counts(roots),
         }
     }
 
-    /// Computes the function of `node` over the leaves of `cut`.
-    fn cut_tt(&self, node: NodeId, cut: &Cut) -> TruthTable {
-        let n = cut.len() as u8;
-        let mut memo: HashMap<NodeId, TruthTable> = HashMap::new();
-        for (i, &leaf) in cut.iter().enumerate() {
-            memo.insert(leaf, TruthTable::var(n, i as u8));
-        }
-        self.tt_rec(node, n, &mut memo)
+    fn node_cuts(&self, id: NodeId) -> &[Cut] {
+        let i = id.0 as usize;
+        &self.cuts[self.cut_start[i] as usize..self.cut_start[i + 1] as usize]
     }
 
-    #[allow(clippy::only_used_in_recursion)]
-    fn tt_rec(&self, node: NodeId, n: u8, memo: &mut HashMap<NodeId, TruthTable>) -> TruthTable {
-        if let Some(t) = memo.get(&node) {
-            return *t;
+    /// Computes the function of `node` over the leaves of `cut`.
+    fn cut_tt(&mut self, node: NodeId, cut: &Cut) -> TruthTable {
+        let n = cut.len;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps restart: forget every stamp of the last cycle.
+            self.tt_memo.fill((0, 0));
+            self.epoch = 1;
+        }
+        for (i, leaf) in cut.leaves().iter().enumerate() {
+            self.tt_memo[leaf.0 as usize] = (self.epoch, self.var_tt[n as usize][i]);
+        }
+        let ones = TruthTable::one(n).bits();
+        TruthTable::from_bits(n, self.tt_rec(node, ones))
+    }
+
+    fn tt_rec(&mut self, node: NodeId, ones: u64) -> u64 {
+        let (stamp, bits) = self.tt_memo[node.0 as usize];
+        if stamp == self.epoch {
+            return bits;
         }
         let (a, b) = self.aig.and_fanins(node);
-        let ta = {
-            let t = self.tt_rec(a.node(), n, memo);
-            if a.is_complement() {
-                t.not()
+        let lit = |this: &mut Self, l: Lit| {
+            let t = this.tt_rec(l.node(), ones);
+            if l.is_complement() {
+                !t & ones
             } else {
                 t
             }
         };
-        let tb = {
-            let t = self.tt_rec(b.node(), n, memo);
-            if b.is_complement() {
-                t.not()
-            } else {
-                t
-            }
-        };
-        let t = ta.and(&tb);
-        memo.insert(node, t);
+        let t = lit(self, a) & lit(self, b);
+        self.tt_memo[node.0 as usize] = (self.epoch, t);
         t
     }
 
-    /// Looks up (with caching) the best library match for `tt`.
-    fn find_match(&mut self, tt: &TruthTable) -> Option<MatchedCell> {
-        let key = (tt.vars(), tt.bits());
-        if let Some(m) = self.match_cache.get(&key) {
-            return m.clone();
+    /// Looks up (with caching) the best library match for `tt`, as an
+    /// index into `match_cache.matches`.
+    fn find_match(&mut self, tt: &TruthTable) -> Option<u32> {
+        let (n, bits) = (tt.vars(), tt.bits());
+        let (sn, _, entry) = self.match_cache.slots[self.match_cache.slot(n, bits)];
+        if sn != EMPTY {
+            return (entry != NO_MATCH).then_some(entry);
         }
         let m = match self.opts.allowed_cells.as_ref() {
             Some(set) => {
@@ -144,32 +326,38 @@ impl<'a> Mapper<'a> {
             }
             None => self.lib.find_match(tt, None),
         };
-        self.match_cache.insert(key, m.clone());
-        m
+        let entry = match m {
+            Some(m) => {
+                self.match_cache.matches.push(m);
+                self.match_cache.matches.len() as u32 - 1
+            }
+            None => NO_MATCH,
+        };
+        self.match_cache.insert(n, bits, entry);
+        (entry != NO_MATCH).then_some(entry)
     }
 
     /// Enumerates cuts and runs the area-flow DP for one AND node.
     fn process_and(&mut self, id: NodeId) -> Result<(), MapError> {
         let (fa, fb) = self.aig.and_fanins(id);
-        let ca = self.cuts[fa.node().0 as usize].clone();
-        let cb = self.cuts[fb.node().0 as usize].clone();
-        let mut merged: Vec<Cut> = Vec::new();
-        for a in &ca {
-            for b in &cb {
-                let mut u: Cut = a.iter().chain(b.iter()).copied().collect();
-                u.sort_unstable();
-                u.dedup();
-                if u.len() <= self.opts.cut_size as usize && !merged.contains(&u) {
-                    merged.push(u);
+        let k = self.opts.cut_size as usize;
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        for a in self.node_cuts(fa.node()) {
+            for b in self.node_cuts(fb.node()) {
+                if let Some(u) = Cut::merge(a, b, k) {
+                    if !merged.iter().any(|c| c.same_leaves(&u)) {
+                        merged.push(u);
+                    }
                 }
             }
         }
-        // Prefer smaller cuts when truncating.
-        merged.sort_by_key(|c| c.len());
+        // Prefer smaller cuts when truncating: a stable sort by size.
+        merged.sort_by_key(|c| c.len);
         merged.truncate(self.opts.cuts_per_node);
 
         // DP: choose the cut+match with the lowest area flow.
-        let mut best: Option<(f64, Cut, MatchedCell)> = None;
+        let mut best: Option<(f64, Cut, u32)> = None;
         for cut in &merged {
             let raw_tt = self.cut_tt(id, cut);
             // Drop leaves the function does not depend on.
@@ -180,8 +368,8 @@ impl<'a> Mapper<'a> {
             let Some(m) = self.find_match(&tt) else {
                 continue;
             };
-            let leaf_flow: f64 = cut.iter().map(|l| self.aflow[l.0 as usize]).sum();
-            let cost = m.area_um2 + leaf_flow;
+            let leaf_flow: f64 = cut.leaves().iter().map(|l| self.aflow[l.0 as usize]).sum();
+            let cost = self.match_cache.matches[m as usize].area_um2 + leaf_flow;
             if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
                 best = Some((cost, cut, m));
             }
@@ -192,24 +380,24 @@ impl<'a> Mapper<'a> {
         self.aflow[id.0 as usize] = cost / f64::from(self.refs[id.0 as usize].max(1));
         self.chosen[id.0 as usize] = Some((cut, m));
 
-        // Kept cuts for parents: merged cuts plus the trivial cut.
-        let mut kept = merged;
-        kept.insert(0, vec![id]);
-        kept.truncate(self.opts.cuts_per_node);
-        self.cuts[id.0 as usize] = kept;
+        // Kept cuts for parents: the trivial cut, then the merged cuts.
+        self.cuts.push(Cut::trivial(id));
+        let room = self.opts.cuts_per_node - 1;
+        self.cuts.extend(merged.iter().take(room));
+        self.merged = merged;
         Ok(())
     }
 
     fn run(&mut self) -> Result<(), MapError> {
+        self.cut_start.push(0);
         for id in self.aig.topo_nodes() {
             if self.aig.leaf_index(id).is_some() {
-                self.cuts[id.0 as usize] = vec![vec![id]];
+                self.cuts.push(Cut::trivial(id));
             } else if self.aig.is_and(id) {
                 self.process_and(id)?;
-            } else {
-                // Constant node: no cuts.
-                self.cuts[id.0 as usize] = Vec::new();
             }
+            // Constant node: no cuts.
+            self.cut_start.push(self.cuts.len() as u32);
         }
         Ok(())
     }
@@ -217,13 +405,30 @@ impl<'a> Mapper<'a> {
 
 /// Removes irrelevant variables from a cut function.
 fn compress(tt: &TruthTable, cut: &Cut) -> (TruthTable, Cut) {
-    let support = tt.support();
-    if support.len() == tt.vars() as usize {
-        return (*tt, cut.clone());
+    let n = tt.vars();
+    let mut support = [0u8; 6];
+    let mut m = 0;
+    for v in 0..n {
+        if tt.depends_on(v) {
+            support[m] = v;
+            m += 1;
+        }
     }
-    let new_cut: Cut = support.iter().map(|&v| cut[v as usize]).collect();
-    let n = support.len() as u8;
-    let compressed = TruthTable::from_fn(n, |a| {
+    if m == n as usize {
+        return (*tt, *cut);
+    }
+    let support = &support[..m];
+    let mut new_cut = Cut {
+        leaves: [NodeId(0); 6],
+        len: m as u8,
+        sig: 0,
+    };
+    for (i, &v) in support.iter().enumerate() {
+        let leaf = cut.leaves[v as usize];
+        new_cut.leaves[i] = leaf;
+        new_cut.sig |= 1 << (leaf.0 % 64);
+    }
+    let compressed = TruthTable::from_fn(m as u8, |a| {
         let mut full = 0u32;
         for (i, &v) in support.iter().enumerate() {
             if a >> i & 1 == 1 {
@@ -247,151 +452,140 @@ fn compress(tt: &TruthTable, cut: &Cut) -> (TruthTable, Cut) {
 /// Returns [`MapError::Unmappable`] if some required function has no
 /// realization in the (possibly restricted) library.
 pub fn map_design(design: &Design, lib: &Library, opts: &MapOptions) -> Result<Netlist, MapError> {
+    opts.validate()?;
     let roots = design.roots();
     let mut mapper = Mapper::new(&design.aig, lib, opts, &roots);
     mapper.run()?;
 
     // Which nodes are actually needed by the cover?
-    let mut needed: HashSet<NodeId> = HashSet::new();
+    let mut needed = vec![false; design.aig.node_count()];
     let mut stack: Vec<NodeId> = roots.iter().map(|l| l.node()).collect();
     while let Some(n) = stack.pop() {
         if design.aig.leaf_index(n).is_some() || n == NodeId(0) {
             continue;
         }
-        if !needed.insert(n) {
+        if std::mem::replace(&mut needed[n.0 as usize], true) {
             continue;
         }
         let (cut, _) = mapper.chosen[n.0 as usize]
             .as_ref()
             .expect("needed AND node has a chosen cover");
-        stack.extend(cut.iter().copied());
+        stack.extend(cut.leaves().iter().copied());
     }
 
     let mut nl = Netlist::new(design.name.clone());
 
     // Nets for leaves: primary inputs and register outputs.
-    let mut node_net: HashMap<NodeId, NetId> = HashMap::new();
+    let mut node_net: Vec<NetId> = vec![NetId(u32::MAX); design.aig.node_count()];
     for (name, l) in &design.inputs {
-        let id = nl.add_input(name.clone());
-        node_net.insert(l.node(), id);
+        node_net[l.node().0 as usize] = nl.add_input(name.as_str());
     }
     for r in &design.registers {
-        let id = nl.add_net(r.name.clone());
-        node_net.insert(r.q.node(), id);
+        node_net[r.q.node().0 as usize] = nl.add_net(r.name.as_str());
     }
 
     // Nets for covered AND nodes, created in topo order.
-    let mut ordered: Vec<NodeId> = needed.iter().copied().collect();
-    ordered.sort();
+    let ordered: Vec<NodeId> = design
+        .aig
+        .topo_nodes()
+        .filter(|n| needed[n.0 as usize])
+        .collect();
     for &n in &ordered {
-        let id = nl.fresh_net("w");
-        node_net.insert(n, id);
+        node_net[n.0 as usize] = nl.fresh_net("w");
     }
 
     // Gate instances. Inverted pin phases share one INV per node.
     let mut gate_n = 0usize;
-    let mut inv_cache: HashMap<NodeId, NetId> = HashMap::new();
+    let mut inv_cache: Vec<Option<NetId>> = vec![None; design.aig.node_count()];
     for &n in &ordered {
-        let (cut, m) = mapper.chosen[n.0 as usize].clone().expect("chosen");
+        let (cut, m) = mapper.chosen[n.0 as usize].expect("chosen");
+        let m = &mapper.match_cache.matches[m as usize];
         // The match permutation maps cell pin i -> cut variable
         // m.perm[i], inverted when m.input_neg[i] is set.
-        let inputs: Vec<NetId> = m
-            .perm
-            .iter()
-            .zip(&m.input_neg)
-            .map(|(&v, &neg)| {
-                let node = cut[v as usize];
-                let net = node_net[&node];
-                if !neg {
-                    return net;
-                }
-                if let Some(&inv) = inv_cache.get(&node) {
-                    return inv;
-                }
-                let inv = nl.fresh_net("ni");
-                nl.add_gate(
-                    format!("u{gate_n}"),
-                    "INV",
-                    GateKind::Comb,
-                    vec![net],
-                    vec![inv],
-                );
-                gate_n += 1;
-                inv_cache.insert(node, inv);
+        let mut inputs = [NetId(0); 6];
+        for (pin, (&v, &neg)) in m.perm.iter().zip(&m.input_neg).enumerate() {
+            let node = cut.leaves[v as usize];
+            let net = node_net[node.0 as usize];
+            inputs[pin] = if !neg {
+                net
+            } else if let Some(inv) = inv_cache[node.0 as usize] {
                 inv
-            })
-            .collect();
-        let out_net = node_net[&n];
+            } else {
+                let inv = nl.fresh_net("ni");
+                nl.add_gate(format!("u{gate_n}"), "INV", GateKind::Comb, [net], [inv]);
+                gate_n += 1;
+                inv_cache[node.0 as usize] = Some(inv);
+                inv
+            };
+        }
+        let inputs = &inputs[..m.perm.len()];
+        let out_net = node_net[n.0 as usize];
         if m.inverted {
             let mid = nl.fresh_net("inv_in");
             nl.add_gate(
                 format!("u{gate_n}"),
-                m.cell.clone(),
+                m.cell.as_str(),
                 GateKind::Comb,
                 inputs,
-                vec![mid],
+                [mid],
             );
             gate_n += 1;
             nl.add_gate(
                 format!("u{gate_n}"),
                 "INV",
                 GateKind::Comb,
-                vec![mid],
-                vec![out_net],
+                [mid],
+                [out_net],
             );
         } else {
             nl.add_gate(
                 format!("u{gate_n}"),
-                m.cell.clone(),
+                m.cell.as_str(),
                 GateKind::Comb,
                 inputs,
-                vec![out_net],
+                [out_net],
             );
         }
         gate_n += 1;
     }
 
-    // Literal resolution with INV/tie sharing.
-    let mut lit_nets: HashMap<Lit, NetId> = HashMap::new();
+    // Literal resolution with INV/tie sharing, indexed by
+    // `2 * node + complement`.
+    let mut lit_nets: Vec<Option<NetId>> = vec![None; 2 * design.aig.node_count()];
     let mut resolve = |nl: &mut Netlist, l: Lit, gate_n: &mut usize| -> NetId {
-        if let Some(&id) = lit_nets.get(&l) {
+        let slot = 2 * l.node().0 as usize + l.is_complement() as usize;
+        if let Some(id) = lit_nets[slot] {
             return id;
         }
         let id = if l == Lit::FALSE || l == Lit::TRUE {
             let id = nl.fresh_net("tie");
             let cell = if l == Lit::TRUE { "TIEHI" } else { "TIELO" };
-            nl.add_gate(format!("u{gate_n}"), cell, GateKind::Tie, vec![], vec![id]);
+            nl.add_gate(format!("u{gate_n}"), cell, GateKind::Tie, [], [id]);
             *gate_n += 1;
             id
         } else if !l.is_complement() {
-            node_net[&l.node()]
+            node_net[l.node().0 as usize]
         } else {
-            let src = node_net[&l.node()];
+            let src = node_net[l.node().0 as usize];
             let id = nl.fresh_net("nb");
-            nl.add_gate(
-                format!("u{gate_n}"),
-                "INV",
-                GateKind::Comb,
-                vec![src],
-                vec![id],
-            );
+            nl.add_gate(format!("u{gate_n}"), "INV", GateKind::Comb, [src], [id]);
             *gate_n += 1;
             id
         };
-        lit_nets.insert(l, id);
+        lit_nets[slot] = Some(id);
         id
     };
 
     // Registers: DFF between resolved next-state net and Q net.
     for r in &design.registers {
         let d_net = resolve(&mut nl, r.next, &mut gate_n);
-        let q_net = node_net[&r.q.node()];
+        let q_net = node_net[r.q.node().0 as usize];
         nl.add_gate(
             format!("r_{}", r.name),
             "DFF",
             GateKind::Seq,
-            vec![d_net],
-            vec![q_net],
+            [d_net],
+            [q_net],
         );
     }
 
@@ -403,14 +597,8 @@ pub fn map_design(design: &Design, lib: &Library, opts: &MapOptions) -> Result<N
             nl.mark_output(src);
         } else {
             // The same literal drives several ports: buffer a copy.
-            let id = nl.add_net(name.clone());
-            nl.add_gate(
-                format!("u{gate_n}"),
-                "BUF",
-                GateKind::Comb,
-                vec![src],
-                vec![id],
-            );
+            let id = nl.add_net(name.as_str());
+            nl.add_gate(format!("u{gate_n}"), "BUF", GateKind::Comb, [src], [id]);
             gate_n += 1;
             nl.mark_output(id);
         }
@@ -562,7 +750,8 @@ mod tests {
         let nl = map_design(&d, &lib, &opts).unwrap();
         for g in nl.gates() {
             assert!(
-                allowed.contains(&g.cell) || matches!(g.cell.as_str(), "DFF" | "TIELO" | "TIEHI"),
+                allowed.contains(g.cell.as_str())
+                    || matches!(g.cell.as_str(), "DFF" | "TIELO" | "TIEHI"),
                 "forbidden cell {}",
                 g.cell
             );
@@ -588,6 +777,52 @@ mod tests {
         ));
     }
 
+    /// An 8-input AND tree: its root has cuts of up to 8 leaves.
+    fn and_tree8() -> Design {
+        let mut d = Design::new("t");
+        let ins: Vec<Lit> = (0..8).map(|i| d.input(format!("i{i}"))).collect();
+        let mut level = ins;
+        while level.len() > 1 {
+            level = level.chunks(2).map(|p| d.aig.and(p[0], p[1])).collect();
+        }
+        d.output("y", level[0]);
+        d
+    }
+
+    #[test]
+    fn out_of_range_options_are_typed_errors() {
+        let d = and_tree8();
+        let lib = Library::lib180();
+        for (cut_size, cuts_per_node) in [(0, 8), (7, 8), (7, 40), (8, 64), (255, 8), (5, 0)] {
+            let opts = MapOptions {
+                cut_size,
+                cuts_per_node,
+                allowed_cells: None,
+            };
+            let err = map_design(&d, &lib, &opts).expect_err("out-of-range options");
+            let MapError::BadOptions { reason } = &err else {
+                panic!("({cut_size}, {cuts_per_node}) gave {err:?}");
+            };
+            let field = if cuts_per_node == 0 {
+                "cuts_per_node"
+            } else {
+                "cut_size"
+            };
+            assert!(reason.contains(field), "{reason}");
+            assert!(err.to_string().starts_with("bad mapper options: "), "{err}");
+        }
+        // The bounds themselves are in range.
+        for (cut_size, cuts_per_node) in [(1, 1), (6, 1), (6, 64)] {
+            let opts = MapOptions {
+                cut_size,
+                cuts_per_node,
+                allowed_cells: None,
+            };
+            let r = map_design(&d, &lib, &opts);
+            assert!(!matches!(r, Err(MapError::BadOptions { .. })), "{r:?}");
+        }
+    }
+
     #[test]
     fn shared_output_literal_gets_buffer() {
         let mut d = Design::new("t");
@@ -608,10 +843,11 @@ mod tests {
     fn compress_drops_dead_vars() {
         // f over 3 vars depending only on var 2.
         let tt = TruthTable::from_fn(3, |x| x >> 2 & 1 == 1);
-        let cut = vec![NodeId(5), NodeId(6), NodeId(7)];
+        let a = Cut::merge(&Cut::trivial(NodeId(5)), &Cut::trivial(NodeId(6)), 6).unwrap();
+        let cut = Cut::merge(&a, &Cut::trivial(NodeId(7)), 6).unwrap();
         let (ctt, ccut) = compress(&tt, &cut);
         assert_eq!(ctt.vars(), 1);
-        assert_eq!(ccut, vec![NodeId(7)]);
+        assert_eq!(ccut, Cut::trivial(NodeId(7)));
     }
 
     #[test]

@@ -130,9 +130,9 @@ pub fn mismatch_rail_function(nl: &Netlist, victim: usize) -> Netlist {
         let cell = if i != victim {
             g.cell.clone()
         } else if g.cell == "AND2" {
-            "OR2".to_string()
+            "OR2".into()
         } else {
-            "AND2".to_string()
+            "AND2".into()
         };
         out.add_gate(
             g.name.clone(),

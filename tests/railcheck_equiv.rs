@@ -42,8 +42,8 @@ mod oracle {
             let cell = lib
                 .by_name(&g.cell)
                 .ok_or_else(|| RailCheckError::UnknownCell {
-                    gate: g.name.clone(),
-                    cell: g.cell.clone(),
+                    gate: g.name.to_string(),
+                    cell: g.cell.to_string(),
                 })?;
             match cell.function() {
                 CellFunction::Comb(tt) => {
@@ -70,7 +70,7 @@ mod oracle {
         for id in nl.net_ids() {
             if values[id.index()] {
                 return Err(RailCheckError::PrechargeLeak {
-                    net: nl.net(id).name.clone(),
+                    net: nl.net(id).name.to_string(),
                 });
             }
         }
@@ -134,8 +134,8 @@ mod oracle {
             for p in &sub.pairs {
                 if diff_values[p.t.index()] == diff_values[p.f.index()] {
                     return Err(RailCheckError::NotComplementary {
-                        t: diff.net(p.t).name.clone(),
-                        f: diff.net(p.f).name.clone(),
+                        t: diff.net(p.t).name.to_string(),
+                        f: diff.net(p.f).name.to_string(),
                     });
                 }
             }
@@ -218,7 +218,8 @@ fn rebuild(
         }
     }
     for (i, g) in nl.gates().iter().enumerate() {
-        let (mut cell, mut ins, mut outs) = (g.cell.clone(), g.inputs.clone(), g.outputs.clone());
+        let (mut cell, mut ins, mut outs) =
+            (g.cell.to_string(), g.inputs.to_vec(), g.outputs.to_vec());
         edit(i, &mut cell, &mut ins, &mut outs);
         out.add_gate(g.name.clone(), cell, g.kind, ins, outs);
     }
