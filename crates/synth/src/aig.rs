@@ -79,12 +79,11 @@ impl Aig {
         self.nodes.len()
     }
 
-    /// Number of AND nodes (the size metric used in reports).
+    /// Number of AND nodes (the size metric used in reports). Every
+    /// AND node has exactly one structural-hash entry, so this is O(1);
+    /// generators that grow a design to a size call it per node.
     pub fn and_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::And(..)))
-            .count()
+        self.strash.len()
     }
 
     /// Number of leaves created so far.
