@@ -140,27 +140,23 @@ impl PlacedDesign {
             rows
         };
         let (in_pads, out_pads) = (pad_rows(&self.input_pads), pad_rows(&self.output_pads));
+        let mut pins = Vec::new();
         let mut total = 0;
         for net in nl.net_ids() {
+            // The pins of `net_pins`, in a reused buffer.
             let rec = nl.net(net);
-            let mut bbox = BBox::default();
+            pins.clear();
             match rec.driver {
                 Some(d) => {
-                    bbox.add(self.pin_at(macros[d.gate.index()], d.gate, d.pin as usize, true))
+                    pins.push(self.pin_at(macros[d.gate.index()], d.gate, d.pin as usize, true))
                 }
-                None => {
-                    if let Some(y) = in_pads[net.index()] {
-                        bbox.add((0, y));
-                    }
-                }
+                None => pins.extend(in_pads[net.index()].map(|y| (0, y))),
             }
             for s in &rec.sinks {
-                bbox.add(self.pin_at(macros[s.gate.index()], s.gate, s.pin as usize, false));
+                pins.push(self.pin_at(macros[s.gate.index()], s.gate, s.pin as usize, false));
             }
-            if let Some(y) = out_pads[net.index()] {
-                bbox.add((self.width - 1, y));
-            }
-            total += bbox.hpwl();
+            pins.extend(out_pads[net.index()].map(|y| (self.width - 1, y)));
+            total += bbox_hpwl(&pins);
         }
         total
     }
@@ -176,45 +172,6 @@ fn macro_of<'a>(nl: &Netlist, lib: &'a Library, gate: GateId) -> &'a LefMacro {
     lib.by_name(&g.cell)
         .unwrap_or_else(|| panic!("unknown cell `{}`", g.cell))
         .physical()
-}
-
-/// A running bounding box of pins, as `bbox_hpwl` computes it.
-struct BBox {
-    pins: usize,
-    x0: i32,
-    x1: i32,
-    y0: i32,
-    y1: i32,
-}
-
-impl Default for BBox {
-    fn default() -> Self {
-        BBox {
-            pins: 0,
-            x0: i32::MAX,
-            x1: i32::MIN,
-            y0: i32::MAX,
-            y1: i32::MIN,
-        }
-    }
-}
-
-impl BBox {
-    fn add(&mut self, (x, y): (i32, i32)) {
-        self.pins += 1;
-        self.x0 = self.x0.min(x);
-        self.x1 = self.x1.max(x);
-        self.y0 = self.y0.min(y);
-        self.y1 = self.y1.max(y);
-    }
-
-    /// Half-perimeter, 0 for fewer than two pins.
-    fn hpwl(&self) -> i64 {
-        if self.pins < 2 {
-            return 0;
-        }
-        i64::from(self.x1 - self.x0) + i64::from(self.y1 - self.y0)
-    }
 }
 
 /// Half-perimeter of the bounding box of `pins` (0 for fewer than two

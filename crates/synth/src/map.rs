@@ -86,12 +86,14 @@ impl MapOptions {
 }
 
 /// A cut: a sorted set of at most 6 leaf nodes, stored inline, with a
-/// signature that has bit `id % 64` set for every leaf `id`.
+/// signature that has bit `id % 64` set for every leaf `id`. Slots past
+/// `len` hold `NodeId(0)`, so `==` compares leaf sets, and it checks the
+/// signature and the length before the leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cut {
-    leaves: [NodeId; 6],
-    len: u8,
     sig: u64,
+    len: u8,
+    leaves: [NodeId; 6],
 }
 
 impl Cut {
@@ -153,10 +155,6 @@ impl Cut {
         }
         out.len = n as u8;
         Some(out)
-    }
-
-    fn same_leaves(&self, other: &Cut) -> bool {
-        self.sig == other.sig && self.len == other.len && self.leaves() == other.leaves()
     }
 }
 
@@ -346,7 +344,7 @@ impl<'a> Mapper<'a> {
         for a in self.node_cuts(fa.node()) {
             for b in self.node_cuts(fb.node()) {
                 if let Some(u) = Cut::merge(a, b, k) {
-                    if !merged.iter().any(|c| c.same_leaves(&u)) {
+                    if !merged.contains(&u) {
                         merged.push(u);
                     }
                 }
